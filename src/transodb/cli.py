@@ -13,7 +13,9 @@ import os
 import shutil
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from .bench import bench_model, rows_to_tsv, run_bench
 from .errors import TransodbError
@@ -31,21 +33,17 @@ EXIT_DOMAIN = 1
 EXIT_IO = 2
 
 
-def _load_model(path: str) -> tuple[ClassModel | None, int]:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None, EXIT_IO
-    model, diagnostics = parse_schema(data, Path(path).stem)
+def _load_model(path: str) -> ClassModel | None:
+    model, diagnostics = parse_schema(Path(path).read_bytes(), Path(path).stem)
     for diag in diagnostics:
         print(str(diag), file=sys.stderr)
-    if model is None:
-        return None, EXIT_DOMAIN
-    return model, EXIT_OK
+    return model
 
 
-def _open_store(spec: str, model: ClassModel, create: bool) -> StoreAdapter:
+@contextmanager
+def _store(spec: str, model: ClassModel, create: bool = False) -> Iterator[StoreAdapter]:
+    """Open a store for the length of one command and close it after. If
+    the command fails, a store directory this call created is removed."""
     if spec.startswith("mem:"):
         name = spec[4:]
         store = MEM_FIXTURES.get(name)
@@ -54,9 +52,17 @@ def _open_store(spec: str, model: ClassModel, create: bool) -> StoreAdapter:
             MEM_FIXTURES[name] = store
         elif dump_model(store.model) != dump_model(model):
             raise TransodbError(f"mem fixture {name!r} is bound to a different schema")
-        return store
-    path = spec[5:] if spec.startswith("file:") else spec
-    return FileStore(path, model, create=create)
+        yield store
+        return
+    path = Path(spec.removeprefix("file:"))
+    created = create and not path.exists()
+    try:
+        with FileStore(path, model, create=create) as store:
+            yield store
+    except BaseException:
+        if created:
+            shutil.rmtree(path, ignore_errors=True)
+        raise
 
 
 def _write_atomically(path: str, produce) -> None:
@@ -73,115 +79,40 @@ def _write_atomically(path: str, produce) -> None:
 
 
 def cmd_schema(args) -> int:
-    model, code = _load_model(args.xsd)
+    model = _load_model(args.xsd)
     if model is None:
-        return code
+        return EXIT_DOMAIN
     sys.stdout.write(dump_model(model))
     print(schema_hash(model))
     return EXIT_OK
 
 
 def cmd_export(args) -> int:
-    model, code = _load_model(args.schema)
+    model = _load_model(args.schema)
     if model is None:
-        return code
-    try:
-        store = _open_store(args.store, model, create=False)
-    except TransodbError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
+    with _store(args.store, model) as store:
         _write_atomically(args.out, lambda out: export_to(store, model, out))
-    except TransodbError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    finally:
-        store.close()
     return EXIT_OK
 
 
-def _store_dir_if_new(spec: str) -> Path | None:
-    if spec.startswith("mem:"):
-        return None
-    path = Path(spec[5:] if spec.startswith("file:") else spec)
-    return path if not path.exists() else None
-
-
 def cmd_import(args) -> int:
-    model, code = _load_model(args.schema)
+    model = _load_model(args.schema)
     if model is None:
-        return code
-    try:
-        data = Path(args.infile).read_bytes()
-    except OSError as exc:
-        print(f"error: cannot read {args.infile}: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    created = _store_dir_if_new(args.store)
-    store = None
-    try:
-        store = _open_store(args.store, model, create=True)
-        count = import_document(data, model, store)
-    except TransodbError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if created is not None:
-            if store is not None:
-                store.close()
-                store = None
-            shutil.rmtree(created, ignore_errors=True)
         return EXIT_DOMAIN
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if created is not None:
-            if store is not None:
-                store.close()
-                store = None
-            shutil.rmtree(created, ignore_errors=True)
-        return EXIT_IO
-    finally:
-        if store is not None:
-            store.close()
+    data = Path(args.infile).read_bytes()
+    with _store(args.store, model, create=True) as store:
+        count = import_document(data, model, store)
     print(f"{count} records")
     return EXIT_OK
 
 
 def cmd_migrate(args) -> int:
-    model, code = _load_model(args.schema)
+    model = _load_model(args.schema)
     if model is None:
-        return code
-    created = _store_dir_if_new(args.to_spec)
-    src = dst = None
-    try:
-        src = _open_store(args.from_spec, model, create=False)
-        dst = _open_store(args.to_spec, model, create=True)
-        count = migrate(src, dst, model)
-    except TransodbError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if created is not None:
-            if dst is not None:
-                dst.close()
-                dst = None
-            shutil.rmtree(created, ignore_errors=True)
         return EXIT_DOMAIN
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if created is not None:
-            if dst is not None:
-                dst.close()
-                dst = None
-            shutil.rmtree(created, ignore_errors=True)
-        return EXIT_IO
-    finally:
-        if src is not None:
-            src.close()
-        if dst is not None:
-            dst.close()
+    with _store(args.from_spec, model) as src, _store(args.to_spec, model, create=True) as dst:
+        count = migrate(src, dst, model)
     print(f"{count} records")
     return EXIT_OK
 
@@ -193,20 +124,13 @@ def cmd_bench(args) -> int:
         print(f"error: bad --sizes value {args.sizes!r}", file=sys.stderr)
         return EXIT_DOMAIN
     model = bench_model()
-    try:
-        with tempfile.TemporaryDirectory(prefix="transodb-bench-") as workdir:
-            rows = run_bench(model, sizes, args.seed, Path(workdir))
-        tsv = rows_to_tsv(rows)
-        if args.out:
-            _write_atomically(args.out, lambda out: out.write(tsv.encode("utf-8")))
-        else:
-            sys.stdout.write(tsv)
-    except TransodbError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with tempfile.TemporaryDirectory(prefix="transodb-bench-") as workdir:
+        rows = run_bench(model, sizes, args.seed, Path(workdir))
+    tsv = rows_to_tsv(rows)
+    if args.out:
+        _write_atomically(args.out, lambda out: out.write(tsv.encode("utf-8")))
+    else:
+        sys.stdout.write(tsv)
     return EXIT_OK
 
 
@@ -250,7 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except TransodbError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -208,10 +208,9 @@ def synthesize_graph(model: ClassModel, seed: int, n: int) -> ObjectGraph:
         if is_employee:
             class_name = "Employee"
             values["salary"] = rng.below(10_000_000) / 100.0
-            candidates = employees + [i]
-            if rng.chance(50):
-                values["manager"] = Oid(f"o{candidates[rng.below(len(candidates))]}")
             employees.append(i)
+            if rng.chance(50):
+                values["manager"] = Oid(f"o{employees[rng.below(len(employees))]}")
         oid = Oid(f"o{i}")
         records[oid] = ObjectRecord(class_name, oid, values)
 

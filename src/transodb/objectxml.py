@@ -6,6 +6,11 @@ same object set are therefore equal as byte strings. The verbose emitter
 reproduces the legacy multi-file encoding (per-object storage details and
 repeated type descriptors) and exists only as the size-comparison baseline.
 
+Because the form is canonical, a record line of a data document and a line
+of a FileStore log are the same bytes, so one decoder reads both:
+read_canonical runs it over a whole document, parse_record_line over one
+line.
+
 Writers and readers keep no shared mutable state, so different documents
 may be processed concurrently; a single read_canonical call is
 single-threaded.
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, BinaryIO
 from xml.parsers import expat
 
-from .errors import TransodbError
+from .errors import EXPAT_FAILURES, TransodbError, describe_expat_failure
 from .model import (
     ClassModel,
     FieldDef,
@@ -288,68 +293,121 @@ def write_canonical(records: Iterable[ObjectRecord], model: ClassModel) -> bytes
     return buf.getvalue()
 
 
-class _RecordAssembler:
-    """Shared o-element decoding used by the document reader and the
-    single-line parser. Field events arrive through on_* callbacks."""
+class _Decoder:
+    """The one canonical decoder: a single expat parser over bytes holding
+    <o> records, each validated and handed to sink as its element closes.
 
-    def __init__(self, layouts: LayoutIndex, pos: Callable[[], tuple[int, int]]):
+    A document nests the records under an <objects> root whose start tag
+    goes to on_root; a FileStore log line is a bare <o> element, decoded
+    with no on_root. Every rejection is a DocumentError with a position.
+    """
+
+    def __init__(
+        self,
+        model: ClassModel,
+        layouts: LayoutIndex,
+        sink: Callable[[ObjectRecord], None],
+        on_root: Callable[[dict[str, str]], None] | None = None,
+        instrumentation=None,
+    ):
+        self._model = model
         self._layouts = layouts
-        self._pos = pos
-        self.record: ObjectRecord | None = None
+        self._sink = sink
+        self._on_root = on_root
+        self._instrumentation = instrumentation
+        # nesting of the open element relative to <o>: 0 is the record
+        # itself, 1 one of its fields, -1 the <objects> root
+        self._level = -1 if on_root is None else -2
+        self._record: ObjectRecord | None = None
         self._fdef: FieldDef | None = None
         self._text: list[str] | None = None
         self._is_ref_leaf = False
+        parser = self._parser = expat.ParserCreate()
+        parser.buffer_text = True
+        parser.StartElementHandler = self._start
+        parser.EndElementHandler = self._end
+        parser.CharacterDataHandler = self._chars
 
-    def _fail(self, message: str):
-        raise DocumentError(message, *self._pos())
+    def decode(self, data: bytes) -> None:
+        try:
+            self._parser.Parse(data, True)
+        except EXPAT_FAILURES as exc:
+            raise DocumentError(*describe_expat_failure(exc, data)) from None
 
-    def open_record(self, attrs: dict[str, str]) -> None:
+    def pos(self) -> tuple[int, int]:
+        return self._parser.CurrentLineNumber, self._parser.CurrentColumnNumber + 1
+
+    def fail(self, message: str):
+        raise DocumentError(message, *self.pos())
+
+    def _start(self, name: str, attrs: dict[str, str]) -> None:
+        self._level += 1
+        level = self._level
+        if level == 1:
+            self._open_field(name, attrs)
+        elif level == 0:
+            if name != "o":
+                self.fail(f"expected <o>, found <{name}>")
+            if self._instrumentation is not None:
+                self._instrumentation.record_opened()
+            self._open_record(attrs)
+        elif level < 0:
+            if name != "objects":
+                self.fail(f"root element must be <objects>, found <{name}>")
+            self._on_root(attrs)
+        else:
+            self.fail(f"unexpected nested element <{name}>")
+
+    def _end(self, name: str) -> None:
+        level = self._level
+        if level == 1:
+            self._close_field()
+        elif level == 0:
+            self._close_record()
+        self._level = level - 1
+
+    def _chars(self, data: str) -> None:
+        if self._fdef is not None:
+            if self._is_ref_leaf:
+                self.fail(f"unexpected text in reference field {self._fdef.name!r}")
+            self._text.append(data)
+        elif data.strip():
+            self.fail("unexpected text content")
+
+    def _open_record(self, attrs: dict[str, str]) -> None:
         unknown = set(attrs) - {"c", "id"}
         if unknown:
-            self._fail(f"unexpected attribute {sorted(unknown)[0]!r} on <o>")
+            self.fail(f"unexpected attribute {sorted(unknown)[0]!r} on <o>")
         if "c" not in attrs or "id" not in attrs:
-            self._fail("<o> requires c and id attributes")
+            self.fail("<o> requires c and id attributes")
         class_name, token = attrs["c"], attrs["id"]
         if not OID_RE.match(token):
-            self._fail(f"invalid OID {token!r}")
-        if class_name not in self._layouts.model.classes:
-            self._fail(f"unknown class {class_name!r}")
-        self.record = ObjectRecord(class_name, Oid(token))
+            self.fail(f"invalid OID {token!r}")
+        if class_name not in self._model.classes:
+            self.fail(f"unknown class {class_name!r}")
+        self._record = ObjectRecord(class_name, Oid(token))
 
-    def open_field(self, name: str, attrs: dict[str, str]) -> None:
-        if self._fdef is not None:
-            self._fail(f"unexpected nested element <{name}>")
-        assert self.record is not None
-        fdef = self._layouts.field(self.record.class_name, name)
+    def _open_field(self, name: str, attrs: dict[str, str]) -> None:
+        fdef = self._layouts.field(self._record.class_name, name)
         if fdef is None:
-            self._fail(f"unknown field {name!r} on {self.record.class_name}")
+            self.fail(f"unknown field {name!r} on {self._record.class_name}")
         self._fdef = fdef
         kind = fdef.kind.element if isinstance(fdef.kind, ListOf) else fdef.kind
         self._is_ref_leaf = isinstance(kind, Ref)
         if self._is_ref_leaf:
             if set(attrs) != {"r"}:
-                self._fail(f"reference field {name!r} requires exactly the r attribute")
+                self.fail(f"reference field {name!r} requires exactly the r attribute")
             if not OID_RE.match(attrs["r"]):
-                self._fail(f"invalid OID {attrs['r']!r} in field {name!r}")
+                self.fail(f"invalid OID {attrs['r']!r} in field {name!r}")
             self._store(name, Oid(attrs["r"]))
             self._text = None
         else:
             if attrs:
-                self._fail(f"unexpected attribute on scalar field {name!r}")
+                self.fail(f"unexpected attribute on scalar field {name!r}")
             self._text = []
 
-    def text(self, data: str) -> bool:
-        """Feed character data; returns False if it was not consumed."""
-        if self._fdef is None:
-            return False
-        if self._is_ref_leaf:
-            self._fail(f"unexpected text in reference field {self._fdef.name!r}")
-        self._text.append(data)
-        return True
-
-    def close_field(self) -> None:
+    def _close_field(self) -> None:
         fdef = self._fdef
-        assert fdef is not None
         if not self._is_ref_leaf:
             raw = "".join(self._text)
             kind = fdef.kind.element if isinstance(fdef.kind, ListOf) else fdef.kind
@@ -357,22 +415,23 @@ class _RecordAssembler:
         self._fdef = None
         self._text = None
 
-    def close_record(self, model: ClassModel) -> ObjectRecord:
-        record = self.record
-        assert record is not None
+    def _close_record(self) -> None:
+        record = self._record
         try:
-            validate_record(record, model, self._layouts)
+            validate_record(record, self._model, self._layouts)
         except RecordError as exc:
-            self._fail(str(exc))
-        self.record = None
-        return record
+            self.fail(str(exc))
+        self._record = None
+        self._sink(record)
+        if self._instrumentation is not None:
+            self._instrumentation.record_closed()
 
     def _store(self, name: str, value) -> None:
-        record = self.record
+        record = self._record
         if isinstance(self._fdef.kind, ListOf):
             record.values.setdefault(name, []).append(value)
         elif name in record.values:
-            self._fail(f"duplicate field {name!r}")
+            self.fail(f"duplicate field {name!r}")
         else:
             record.values[name] = value
 
@@ -384,28 +443,21 @@ class _RecordAssembler:
                 return True
             if raw == "false":
                 return False
-            self._fail(f"field {name!r}: {raw!r} is not a boolean")
+            self.fail(f"field {name!r}: {raw!r} is not a boolean")
         if sk is ScalarKind.INT64:
             if not _INT_TEXT_RE.match(raw):
-                self._fail(f"field {name!r}: {raw!r} is not a canonical integer")
+                self.fail(f"field {name!r}: {raw!r} is not a canonical integer")
             value = int(raw)
             if not INT64_MIN <= value <= INT64_MAX:
-                self._fail(f"field {name!r}: integer overflows 64 bits")
+                self.fail(f"field {name!r}: integer overflows 64 bits")
             return value
         try:
             value = float(raw)
         except ValueError:
-            self._fail(f"field {name!r}: {raw!r} is not a float")
+            self.fail(f"field {name!r}: {raw!r} is not a float")
         if not math.isfinite(value):
-            self._fail(f"field {name!r}: non-finite float")
+            self.fail(f"field {name!r}: non-finite float")
         return value
-
-
-def _line_count(data: bytes) -> int:
-    if not data:
-        return 1
-    lines = data.count(b"\n")
-    return lines if data.endswith(b"\n") else lines + 1
 
 
 def read_canonical(
@@ -421,83 +473,32 @@ def read_canonical(
     Every rejection carries the offending line and column.
     """
     expected_hash = schema_hash(model)
-    layouts = LayoutIndex(model)
-    parser = expat.ParserCreate()
-    parser.buffer_text = True
-
-    def pos() -> tuple[int, int]:
-        return parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
-
-    def fail(message: str):
-        raise DocumentError(message, *pos())
-
     header: list[DocumentHeader] = []
-    depth = 0
-    assembler = _RecordAssembler(layouts, pos)
 
-    def start(name: str, attrs: dict[str, str]) -> None:
-        nonlocal depth
-        depth += 1
-        if depth == 1:
-            if name != "objects":
-                fail(f"root element must be <objects>, found <{name}>")
-            unknown = set(attrs) - {"schema", "schemaHash"}
-            if unknown:
-                fail(f"unexpected attribute {sorted(unknown)[0]!r} on <objects>")
-            if "schema" not in attrs or "schemaHash" not in attrs:
-                fail("<objects> requires schema and schemaHash attributes")
-            if attrs["schemaHash"] != expected_hash:
-                raise HeaderMismatchError(
-                    f"document schemaHash {attrs['schemaHash']!r} does not match "
-                    f"model hash {expected_hash!r}",
-                    *pos(),
-                )
-            header.append(DocumentHeader(attrs["schema"], attrs["schemaHash"]))
-        elif depth == 2:
-            if name != "o":
-                fail(f"expected <o>, found <{name}>")
-            if instrumentation is not None:
-                instrumentation.record_opened()
-            assembler.open_record(attrs)
-        elif depth == 3:
-            assembler.open_field(name, attrs)
-        else:
-            fail(f"unexpected nested element <{name}>")
+    def on_root(attrs: dict[str, str]) -> None:
+        unknown = set(attrs) - {"schema", "schemaHash"}
+        if unknown:
+            decoder.fail(f"unexpected attribute {sorted(unknown)[0]!r} on <objects>")
+        if "schema" not in attrs or "schemaHash" not in attrs:
+            decoder.fail("<objects> requires schema and schemaHash attributes")
+        if attrs["schemaHash"] != expected_hash:
+            raise HeaderMismatchError(
+                f"document schemaHash {attrs['schemaHash']!r} does not match "
+                f"model hash {expected_hash!r}",
+                *decoder.pos(),
+            )
+        header.append(DocumentHeader(attrs["schema"], attrs["schemaHash"]))
 
-    def end(name: str) -> None:
-        nonlocal depth
-        if depth == 3:
-            assembler.close_field()
-        elif depth == 2:
-            record = assembler.close_record(model)
-            sink(record)
-            if instrumentation is not None:
-                instrumentation.record_closed()
-        depth -= 1
-
-    def chars(text: str) -> None:
-        if assembler.text(text):
-            return
-        if text.strip():
-            fail("unexpected text content")
-
-    parser.StartElementHandler = start
-    parser.EndElementHandler = end
-    parser.CharacterDataHandler = chars
-
-    try:
-        parser.Parse(data, True)
-    except expat.ExpatError as exc:
-        line = min(exc.lineno, _line_count(data))
-        raise DocumentError(
-            f"malformed XML: {expat.errors.messages[exc.code]}", max(line, 1), exc.offset + 1
-        ) from None
-    except (LookupError, ValueError) as exc:
-        # expat raises these for unknown/invalid encoding declarations
-        raise DocumentError(f"malformed XML: {exc}", 1, 1) from None
-    if not header:
-        raise DocumentError("document has no <objects> root", 1, 1)
+    decoder = _Decoder(model, LayoutIndex(model), sink, on_root, instrumentation)
+    decoder.decode(data)
     return header[0]
+
+
+def decode_record_line(data: bytes, model: ClassModel, layouts: LayoutIndex) -> ObjectRecord:
+    """Decode the UTF-8 bytes of one canonical ``<o .../>`` line."""
+    records: list[ObjectRecord] = []
+    _Decoder(model, layouts, records.append).decode(data)
+    return records[0]
 
 
 VERBOSE_FILE_NAMES = ("schema.dtd", "schema.xml", "data.dtd", "data.xml")
@@ -633,52 +634,4 @@ def _descriptor_line(fdef: FieldDef) -> str:
 
 def parse_record_line(line: str, model: ClassModel, layouts: LayoutIndex | None = None) -> ObjectRecord:
     """Decode one canonical ``<o .../>`` line (as stored in a FileStore log)."""
-    layouts = layouts or LayoutIndex(model)
-    parser = expat.ParserCreate()
-    parser.buffer_text = True
-
-    def pos() -> tuple[int, int]:
-        return parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
-
-    out: list[ObjectRecord] = []
-    depth = 0
-    assembler = _RecordAssembler(layouts, pos)
-
-    def start(name: str, attrs: dict[str, str]) -> None:
-        nonlocal depth
-        depth += 1
-        if depth == 1:
-            if name != "o":
-                raise DocumentError(f"expected <o>, found <{name}>", *pos())
-            assembler.open_record(attrs)
-        elif depth == 2:
-            assembler.open_field(name, attrs)
-        else:
-            raise DocumentError(f"unexpected nested element <{name}>", *pos())
-
-    def end(name: str) -> None:
-        nonlocal depth
-        if depth == 2:
-            assembler.close_field()
-        elif depth == 1:
-            out.append(assembler.close_record(model))
-        depth -= 1
-
-    def chars(text: str) -> None:
-        if not assembler.text(text) and text.strip():
-            raise DocumentError("unexpected text content", *pos())
-
-    parser.StartElementHandler = start
-    parser.EndElementHandler = end
-    parser.CharacterDataHandler = chars
-    try:
-        parser.Parse(line.encode("utf-8"), True)
-    except expat.ExpatError as exc:
-        raise DocumentError(
-            f"malformed record line: {expat.errors.messages[exc.code]}", exc.lineno, exc.offset + 1
-        ) from None
-    except (LookupError, ValueError) as exc:
-        raise DocumentError(f"malformed record line: {exc}", 1, 1) from None
-    if not out:
-        raise DocumentError("record line held no <o> element", 1, 1)
-    return out[0]
+    return decode_record_line(line.encode("utf-8"), model, layouts or LayoutIndex(model))

@@ -24,11 +24,12 @@ from .errors import ModelMismatchError, TransodbError
 from .model import ClassModel, LayoutIndex, dump_model
 from .objectxml import (
     CanonicalWriter,
+    DocumentError,
     ObjectRecord,
     Oid,
+    decode_record_line,
     format_record,
     iter_refs,
-    parse_record_line,
     read_canonical,
     schema_hash,
     validate_record,
@@ -113,10 +114,6 @@ class MemStore(StoreAdapter):
         self._layouts = LayoutIndex(model)
         self._records: dict[str, ObjectRecord] = {}
 
-    @classmethod
-    def open(cls, model: ClassModel) -> MemStore:
-        return cls(model)
-
     def put(self, record: ObjectRecord) -> None:
         validate_record(record, self.model, self._layouts)
         token = record.oid.token
@@ -189,10 +186,6 @@ class FileStore(StoreAdapter):
         except BaseException:
             self._release_lock()
             raise
-
-    @classmethod
-    def open(cls, directory: str | Path, model: ClassModel, create: bool = True) -> FileStore:
-        return cls(directory, model, create)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -277,8 +270,6 @@ class FileStore(StoreAdapter):
         A final line without a newline is a torn append from a crash; it is
         dropped and the log truncated. Damage anywhere else is corruption
         and raises."""
-        from .objectxml import DocumentError
-
         self._index = {}
         self._insertion = []
         offset = 0
@@ -286,10 +277,8 @@ class FileStore(StoreAdapter):
         for raw in self._reader:
             complete = raw.endswith(b"\n")
             try:
-                record = parse_record_line(
-                    raw.decode("utf-8").rstrip("\n"), self.model, self._layouts
-                )
-            except (DocumentError, UnicodeDecodeError):
+                record = decode_record_line(raw, self.model, self._layouts)
+            except DocumentError:
                 if not complete:
                     self._log.flush()
                     self._log.truncate(offset)
@@ -340,8 +329,8 @@ class FileStore(StoreAdapter):
         offset, length = self._index[token]
         # positioned read: no shared seek state, so concurrent readers on
         # one handle stay safe (single-writer/multi-reader contract)
-        line = os.pread(self._reader.fileno(), length, offset).decode("utf-8")
-        return parse_record_line(line, self.model, self._layouts)
+        line = os.pread(self._reader.fileno(), length, offset)
+        return decode_record_line(line, self.model, self._layouts)
 
     def get(self, oid: Oid) -> ObjectRecord | None:
         if oid.token not in self._index:

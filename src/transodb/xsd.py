@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from xml.parsers import expat
 
+from .errors import EXPAT_FAILURES, describe_expat_failure
 from .model import (
     ClassDef,
     ClassModel,
@@ -124,12 +125,8 @@ class _SubsetParser:
     def run(self, data: bytes) -> None:
         try:
             self._parser.Parse(data, True)
-        except expat.ExpatError as exc:
-            line = min(max(exc.lineno, 1), _line_count(data))
-            self._error(f"malformed XML: {expat.errors.messages[exc.code]}", line, exc.offset + 1)
-        except (LookupError, ValueError) as exc:
-            # expat raises these for unknown/invalid encoding declarations
-            self._error(f"malformed XML: {exc}", 1, 1)
+        except EXPAT_FAILURES as exc:
+            self._error(*describe_expat_failure(exc, data))
 
     # -- diagnostics ----------------------------------------------------
 
@@ -347,13 +344,6 @@ class _SubsetParser:
 
 def _is_xmlns(attr: str, local: str) -> bool:
     return local == "schema" and (attr == "xmlns" or attr.startswith("xmlns:"))
-
-
-def _line_count(data: bytes) -> int:
-    if not data:
-        return 1
-    lines = data.count(b"\n")
-    return lines if data.endswith(b"\n") else lines + 1
 
 
 def parse_schema(

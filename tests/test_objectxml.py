@@ -23,7 +23,7 @@ from transodb import (
 )
 from transodb.conformance import Instrumentation, fnv1a64_reference, random_graph, random_model
 from transodb.graph import records_equal
-from transodb.objectxml import fnv1a64
+from transodb.objectxml import fnv1a64, parse_record_line
 
 from conftest import person
 
@@ -247,16 +247,23 @@ def test_reader_rejects_malformed_markup_with_position(person_model):
         ("stray text", "unexpected text"),
     ],
 )
-def test_reader_rejects_bad_records(person_model, payload, message_part):
-    h = schema_hash(person_model)
-    doc = (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<objects schema="m" schemaHash="{h}">\n'
-        f"{payload}\n"
-        "</objects>\n"
-    ).encode()
-    with pytest.raises(DocumentError) as exc:
-        read_canonical(doc, person_model, lambda r: None)
+@pytest.mark.parametrize("entry", ["read_canonical", "parse_record_line"])
+def test_reader_rejects_bad_records(person_model, payload, message_part, entry):
+    if entry == "read_canonical":
+        h = schema_hash(person_model)
+        doc = (
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<objects schema="m" schemaHash="{h}">\n'
+            f"{payload}\n"
+            "</objects>\n"
+        ).encode()
+        with pytest.raises(DocumentError) as exc:
+            read_canonical(doc, person_model, lambda r: None)
+    else:
+        if payload == "stray text":
+            message_part = "malformed XML"  # a bare line has no root to hold text
+        with pytest.raises(DocumentError) as exc:
+            parse_record_line(payload, person_model)
     assert message_part in str(exc.value)
     assert exc.value.line >= 1
 

@@ -152,7 +152,14 @@ def test_newline_strings_survive_log_and_rebuild(family_model, tmp_path):
     reopened.close()
 
 
-def test_torn_log_tail_is_dropped_on_rebuild(family_model, tmp_path):
+@pytest.mark.parametrize(
+    "torn_tail",
+    [
+        b'<o c="Person" id="p3"><name>torn',
+        b'<o c="Person" id="p3"><name>caf\xc3',  # cut inside a two-byte character
+    ],
+)
+def test_torn_log_tail_is_dropped_on_rebuild(family_model, tmp_path, torn_tail):
     store = FileStore(tmp_path / "s", family_model)
     store.put(person("p1"))
     store.put(person("p2"))
@@ -161,7 +168,7 @@ def test_torn_log_tail_is_dropped_on_rebuild(family_model, tmp_path):
 
     log = tmp_path / "s" / "objects.log"
     intact = log.read_bytes()
-    log.write_bytes(intact + b'<o c="Person" id="p3"><name>torn')  # crash mid-append
+    log.write_bytes(intact + torn_tail)  # crash mid-append
     os.remove(tmp_path / "s" / "index.idx")
 
     reopened = FileStore(tmp_path / "s", family_model)
