@@ -25,7 +25,7 @@ from .model import (
     ScalarKind,
     is_subtype,
 )
-from .objectxml import ObjectRecord, Oid, Value
+from .objectxml import ObjectRecord, Oid, Value, format_record
 from .store import DuplicateOidError, StoreAdapter
 
 
@@ -271,6 +271,7 @@ def check_adapter_contract(
             assert records_equal(scanned[record.oid.token], record), (
                 "scan after commit must reflect every accepted put"
             )
+        _check_scan_lines(store)
 
         if reopen is not None:
             store = reopen(store)
@@ -280,5 +281,14 @@ def check_adapter_contract(
                 assert got is not None and records_equal(got, record), (
                     "reopen must preserve records exactly"
                 )
+            _check_scan_lines(store)
     finally:
         store.close()
+
+
+def _check_scan_lines(store: StoreAdapter) -> None:
+    layouts = LayoutIndex(store.model)
+    expected = [(format_record(r, layouts) + "\n").encode("utf-8") for r in store.scan()]
+    assert list(store.scan_lines()) == expected, (
+        "scan_lines must yield the canonical line of each record scan yields"
+    )

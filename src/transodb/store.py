@@ -1,21 +1,25 @@
 """Storage backends behind one adapter contract, plus the document-level
 import/export/migrate operations built on it.
 
-Every backend exposes the same surface: put (no overwrite), get, scan in
-byte-wise OID order, count, commit, close. Checkpoint/rollback exists so
-imports stay atomic on any backend. MemStore is a plain in-process map;
-FileStore pairs an append-only record log with an offset index that is
-rebuilt from the log whenever it is missing or stale.
+Every backend exposes the same surface: put (no overwrite), get, scan and
+scan_lines in byte-wise OID order, count, commit, close. Checkpoint/rollback
+exists so imports stay atomic on any backend. MemStore is a plain
+in-process map; FileStore pairs an append-only record log with an offset
+index that carries a CRC-32 of the log and is rebuilt from the log whenever
+it is missing or stale.
 
 One handle tolerates a single writing thread or any number of reading
 threads; concurrent writers to one FileStore directory are rejected via
-the LOCK file taken at open.
+the lock held on the LOCK file while the store is open.
 """
 
 from __future__ import annotations
 
+import fcntl
 import io
 import os
+import re
+import zlib
 from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import BinaryIO, Iterator
@@ -37,6 +41,7 @@ from .objectxml import (
 from .xsd import emit_schema, parse_schema
 
 NO_LOCK_ENV = "TRANSODB_NO_LOCK"
+_CRC_CHUNK = 64 * 1024  # bytes per read while checking the log at open
 
 
 class StoreError(TransodbError):
@@ -81,6 +86,11 @@ class StoreAdapter(ABC):
 
     @abstractmethod
     def scan(self) -> Iterator[ObjectRecord]: ...
+
+    @abstractmethod
+    def scan_lines(self) -> Iterator[bytes]:
+        """The canonical record lines, each ending in a newline, in the
+        order of scan: ``format_record`` of each record, UTF-8 encoded."""
 
     @abstractmethod
     def count(self) -> int: ...
@@ -131,6 +141,15 @@ class MemStore(StoreAdapter):
         for token in sorted(self._records):
             yield self._records[token]
 
+    def scan_lines(self) -> Iterator[bytes]:
+        # records are caller-owned and mutable, so each is checked again
+        for token in sorted(self._records):
+            record = self._records[token]
+            validate_record(record, self.model, self._layouts)
+            if record.oid.token != token:
+                raise StoreError(f"record stored as {token!r} now has OID {record.oid.token!r}")
+            yield _encode_line(record, self._layouts)
+
     def count(self) -> int:
         return len(self._records)
 
@@ -155,8 +174,21 @@ class FileStore(StoreAdapter):
 
     Layout: ``schema.xsd`` (the bound model), ``objects.log`` (one canonical
     record line per put, append-only, insertion order), ``index.idx``
-    (``OID<TAB>offset<TAB>length`` sorted by OID, rewritten at commit) and a
-    ``LOCK`` file that rejects concurrent opens of one directory.
+    (rewritten at commit) and ``LOCK``. The index starts with a header line
+    ``#`` plus the CRC-32 of the whole log as 8 lowercase hex digits, then
+    holds ``OID<TAB>offset<TAB>length`` per record, sorted by OID.
+
+    Open accepts the index only if its header parses, its lengths cover the
+    log and the CRC-32 of the log equals the header; otherwise it rebuilds
+    the index from the log. The rebuild decodes and validates every line
+    and rejects as corruption any line that is not the canonical form of
+    its own record. So every line an accepted index points at is a
+    validated canonical line, and scan_lines copies it once it has checked
+    that the line frames the record its index key names.
+
+    An open store holds an exclusive flock on ``LOCK``, which rejects
+    concurrent opens of one directory; the kernel drops it when the
+    process dies, so a killed writer leaves the store openable.
     """
 
     SCHEMA_FILE = "schema.xsd"
@@ -170,10 +202,11 @@ class FileStore(StoreAdapter):
         self._layouts = LayoutIndex(model)
         self._index: dict[str, tuple[int, int]] = {}
         self._insertion: list[str] = []
-        self._locked = False
+        self._lock_fd: int | None = None
         self._log: BinaryIO | None = None
         self._reader: BinaryIO | None = None
         self._log_len = 0
+        self._crc = 0  # CRC-32 of the first _log_len log bytes
         self._dirty_reads = False
 
         if not self.directory.exists():
@@ -184,7 +217,7 @@ class FileStore(StoreAdapter):
         try:
             self._open_files(create)
         except BaseException:
-            self._release_lock()
+            self.close()
             raise
 
     # -- lifecycle --------------------------------------------------------
@@ -193,20 +226,29 @@ class FileStore(StoreAdapter):
         if os.environ.get(NO_LOCK_ENV) == "1":
             return
         path = self.directory / self.LOCK_FILE
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise StoreLockedError(
-                f"{self.directory} is locked by another writer (remove {path} if stale)"
-            ) from None
-        with os.fdopen(fd, "w") as fh:
-            fh.write(f"{os.getpid()}\n")
-        self._locked = True
+        while self._lock_fd is None:
+            fd = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                # a holder releasing meanwhile unlinks the file just locked,
+                # and a lock on an unlinked file excludes nobody: retry
+                if _names_file(path, fd):
+                    os.ftruncate(fd, 0)
+                    os.write(fd, f"{os.getpid()}\n".encode())
+                    self._lock_fd = fd
+            except BlockingIOError:
+                raise StoreLockedError(f"{self.directory} is locked by another writer") from None
+            finally:
+                if self._lock_fd != fd:
+                    os.close(fd)
 
     def _release_lock(self) -> None:
-        if self._locked:
+        if self._lock_fd is not None:
+            # unlink before unlocking, so an opener that reached this file
+            # finds it replaced once it gets the lock
             (self.directory / self.LOCK_FILE).unlink(missing_ok=True)
-            self._locked = False
+            os.close(self._lock_fd)
+            self._lock_fd = None
 
     def _open_files(self, create: bool) -> None:
         schema_path = self.directory / self.SCHEMA_FILE
@@ -244,35 +286,40 @@ class FileStore(StoreAdapter):
     # -- index maintenance -------------------------------------------------
 
     def _load_index(self) -> None:
-        path = self.directory / self.INDEX_FILE
-        entries: dict[str, tuple[int, int]] = {}
-        usable = path.exists()
-        if usable:
-            try:
-                for line in path.read_text(encoding="utf-8").splitlines():
-                    token, offset, length = line.split("\t")
-                    entries[token] = (int(offset), int(length))
-            except ValueError:
-                usable = False
-        if usable:
-            covered = sum(length + 1 for _, length in entries.values())
-            usable = covered == self._log_len
-        if usable:
-            self._index = entries
-            self._insertion = sorted(entries, key=lambda t: entries[t][0])
+        try:
+            crc, entries = _parse_index(
+                (self.directory / self.INDEX_FILE).read_text(encoding="utf-8")
+            )
+        except (FileNotFoundError, ValueError):
+            pass
         else:
-            self._rebuild_index()
-            self._write_index()
+            covered = sum(length + 1 for _, length in entries.values())
+            if covered == self._log_len and self._log_crc() == crc:
+                self._index = entries
+                self._insertion = sorted(entries, key=lambda t: entries[t][0])
+                self._crc = crc
+                return
+        self._rebuild_index()
+        self._write_index()
+
+    def _log_crc(self) -> int:
+        """CRC-32 of the whole log, read in fixed chunks."""
+        crc = offset = 0
+        while chunk := os.pread(self._reader.fileno(), _CRC_CHUNK, offset):
+            crc = zlib.crc32(chunk, crc)
+            offset += len(chunk)
+        return crc
 
     def _rebuild_index(self) -> None:
-        """Recover the index by scanning the record log.
+        """Recover the index and the log CRC by scanning the record log.
 
         A final line without a newline is a torn append from a crash; it is
-        dropped and the log truncated. Damage anywhere else is corruption
-        and raises."""
+        dropped and the log truncated. Damage anywhere else, including a
+        line that decodes but is not its record's canonical form, is
+        corruption and raises."""
         self._index = {}
         self._insertion = []
-        offset = 0
+        crc = offset = 0
         self._reader.seek(0)
         for raw in self._reader:
             complete = raw.endswith(b"\n")
@@ -286,23 +333,30 @@ class FileStore(StoreAdapter):
                 raise StoreError(
                     f"log at {self.directory} is corrupt at byte {offset}"
                 ) from None
+            line = raw if complete else raw + b"\n"
+            if line != _encode_line(record, self._layouts):
+                raise StoreError(
+                    f"log at {self.directory} holds a non-canonical record at byte {offset}"
+                )
             token = record.oid.token
             if token in self._index:
                 raise StoreError(f"log at {self.directory} holds duplicate OID {token!r}")
-            self._index[token] = (offset, len(raw) if not complete else len(raw) - 1)
+            self._index[token] = (offset, len(line) - 1)
             self._insertion.append(token)
             if not complete:
                 # full record text landed but the newline did not; finish it
                 self._log.write(b"\n")
                 self._log.flush()
-                raw += b"\n"
-            offset += len(raw)
+            crc = zlib.crc32(line, crc)
+            offset += len(line)
         self._log_len = offset
+        self._crc = crc
 
     def _write_index(self) -> None:
         path = self.directory / self.INDEX_FILE
         tmp = path.with_suffix(".idx.tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(f"#{self._crc:08x}\n")
             for token in sorted(self._index):
                 offset, length = self._index[token]
                 fh.write(f"{token}\t{offset}\t{length}\n")
@@ -315,17 +369,21 @@ class FileStore(StoreAdapter):
         token = record.oid.token
         if token in self._index:
             raise DuplicateOidError(f"OID {token!r} already stored")
-        data = format_record(record, self._layouts).encode("utf-8")
-        self._log.write(data + b"\n")
-        self._index[token] = (self._log_len, len(data))
+        line = _encode_line(record, self._layouts)
+        self._log.write(line)
+        self._index[token] = (self._log_len, len(line) - 1)
         self._insertion.append(token)
-        self._log_len += len(data) + 1
+        self._log_len += len(line)
+        self._crc = zlib.crc32(line, self._crc)
         self._dirty_reads = True
 
-    def _read_at(self, token: str) -> ObjectRecord:
+    def _flush_puts(self) -> None:
         if self._dirty_reads:
             self._log.flush()
             self._dirty_reads = False
+
+    def _read_at(self, token: str) -> ObjectRecord:
+        self._flush_puts()
         offset, length = self._index[token]
         # positioned read: no shared seek state, so concurrent readers on
         # one handle stay safe (single-writer/multi-reader contract)
@@ -344,6 +402,26 @@ class FileStore(StoreAdapter):
         for token in sorted(self._index):
             yield self._read_at(token)
 
+    def scan_lines(self) -> Iterator[bytes]:
+        self._flush_puts()
+        fd = self._reader.fileno()
+        for token in sorted(self._index):
+            offset, length = self._index[token]
+            line = os.pread(fd, length + 1, offset)
+            # the line was validated and checksummed when it was accepted;
+            # what is left to check is that the entry frames that record
+            if not (
+                line.startswith(b'<o c="')
+                and line.startswith(b'" id="%s">' % token.encode(), line.find(b'"', 6))
+                and line.endswith(b"</o>\n")
+                and line.find(b"\n") == length
+            ):
+                raise StoreError(
+                    f"index entry {token!r} at byte {offset} of {self.directory} "
+                    f"does not frame its record"
+                )
+            yield line
+
     def count(self) -> int:
         return len(self._index)
 
@@ -353,10 +431,10 @@ class FileStore(StoreAdapter):
         self._write_index()
 
     def checkpoint(self) -> object:
-        return (self._log_len, len(self._insertion))
+        return (self._log_len, len(self._insertion), self._crc)
 
     def rollback(self, token: object) -> None:
-        log_len, kept = token
+        log_len, kept, crc = token
         self._log.flush()
         self._log.truncate(log_len)
         self._log.seek(log_len)
@@ -364,7 +442,36 @@ class FileStore(StoreAdapter):
             del self._index[dropped]
         del self._insertion[kept:]
         self._log_len = log_len
+        self._crc = crc
         self._dirty_reads = True
+
+
+_INDEX_HEADER = re.compile(r"#([0-9a-f]{8})\Z")
+
+
+def _parse_index(text: str) -> tuple[int, dict[str, tuple[int, int]]]:
+    """(log CRC, entries) of an index file; ValueError if malformed."""
+    header, *lines = text.splitlines()
+    match = _INDEX_HEADER.match(header)
+    if match is None:
+        raise ValueError(f"index header {header!r} is not a log CRC")
+    entries = {}
+    for line in lines:
+        token, offset, length = line.split("\t")
+        entries[token] = (int(offset), int(length))
+    return int(match[1], 16), entries
+
+
+def _encode_line(record: ObjectRecord, layouts: LayoutIndex) -> bytes:
+    return (format_record(record, layouts) + "\n").encode("utf-8")
+
+
+def _names_file(path: Path, fd: int) -> bool:
+    """Whether the file open as fd is the one now linked at path."""
+    try:
+        return os.path.samestat(os.fstat(fd), os.stat(path))
+    except FileNotFoundError:
+        return False
 
 
 def _require_same_model(*models: ClassModel) -> None:
@@ -428,18 +535,25 @@ def import_document(
 
 
 def export_to(handle: StoreAdapter, model: ClassModel, out: BinaryIO, instrumentation=None) -> int:
-    """Stream the store's content as a canonical document into `out`."""
+    """Stream the store's content as a canonical document into `out`.
+
+    The body is the store's scan_lines copied as they are: a FileStore
+    hands out log lines it verified at open, a MemStore validates and
+    formats each record.
+    """
     _require_same_model(model, handle.model)
     writer = CanonicalWriter(model, out)
     writer.begin()
-    for record in handle.scan():
+    count = 0
+    for line in handle.scan_lines():
         if instrumentation is not None:
             instrumentation.record_opened()
-        writer.record(record)
+        out.write(line)
+        count += 1
         if instrumentation is not None:
             instrumentation.record_closed()
     writer.end()
-    return writer.count
+    return count
 
 
 def export_store(handle: StoreAdapter, model: ClassModel, instrumentation=None) -> bytes:

@@ -2,9 +2,13 @@
 import/export/migrate operations."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import transodb
 from transodb import (
     DanglingRefError,
     DuplicateOidError,
@@ -12,7 +16,9 @@ from transodb import (
     MemStore,
     ModelMismatchError,
     Oid,
+    StoreError,
     StoreLockedError,
+    TransodbError,
     build_graph,
     export_store,
     import_document,
@@ -179,9 +185,18 @@ def test_torn_log_tail_is_dropped_on_rebuild(family_model, tmp_path, torn_tail):
     reopened.close()
 
 
-def test_mid_log_corruption_raises(family_model, tmp_path):
-    from transodb import StoreError
+def _open_paths() -> list[str]:
+    """Paths of the files this process holds open."""
+    paths = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            paths.append(os.readlink(f"/proc/self/fd/{fd}"))
+        except OSError:  # the descriptor listdir itself used
+            pass
+    return paths
 
+
+def test_mid_log_corruption_raises(family_model, tmp_path):
     store = FileStore(tmp_path / "s", family_model)
     store.put(person("p1"))
     store.put(person("p2"))
@@ -193,9 +208,92 @@ def test_mid_log_corruption_raises(family_model, tmp_path):
     log.write_bytes(b"garbage not xml\n" + lines[1])
     os.remove(tmp_path / "s" / "index.idx")
 
-    with pytest.raises(StoreError):
+    with pytest.raises(StoreError) as failed:  # its traceback keeps the half-open store alive
         FileStore(tmp_path / "s", family_model)
     assert not (tmp_path / "s" / "LOCK").exists()  # lock released on failed open
+    assert str(log.resolve()) not in _open_paths()  # log handles closed too
+
+
+def test_killed_writer_leaves_store_openable(tmp_path):
+    child = (
+        "import os, sys\n"
+        "from transodb import FileStore\n"
+        "from transodb.bench import bench_model\n"
+        "FileStore(sys.argv[1], bench_model())\n"
+        "os._exit(1)\n"
+    )
+    src = str(Path(transodb.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", child, str(tmp_path / "s")],
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert result.returncode == 1
+    assert (tmp_path / "s" / "LOCK").exists()  # the dead writer never released it
+    FileStore(tmp_path / "s", bench_model()).close()
+
+
+def _two_committed_people(directory, model, **p1):
+    store = FileStore(directory, model)
+    store.put(person("p1", **p1))
+    store.put(person("p2"))
+    store.commit()
+    store.close()
+    return directory / "objects.log"
+
+
+def test_same_length_invalid_edit_is_caught_with_index_in_place(family_model, tmp_path):
+    log = _two_committed_people(tmp_path / "s", family_model, age=93)
+    data = log.read_bytes()
+    log.write_bytes(data.replace(b"<age>93</age>", b"<age>9x</age>"))
+
+    with pytest.raises(TransodbError):
+        with FileStore(tmp_path / "s", family_model) as reopened:
+            export_store(reopened, family_model)
+
+
+def test_non_canonical_log_line_is_corruption(family_model, tmp_path):
+    log = _two_committed_people(tmp_path / "s", family_model)
+    data = log.read_bytes()
+    swapped = data.replace(b'<o c="Person" id="p1">', b'<o id="p1" c="Person">')
+    assert len(swapped) == len(data) and swapped != data
+    log.write_bytes(swapped)
+
+    with pytest.raises(StoreError):
+        FileStore(tmp_path / "s", family_model)
+
+
+def test_swapped_index_offsets_fail_export(family_model, tmp_path):
+    _two_committed_people(tmp_path / "s", family_model)
+    index = tmp_path / "s" / "index.idx"
+    header, p1, p2 = index.read_text().splitlines()
+    (t1, o1, n1), (t2, o2, n2) = p1.split("\t"), p2.split("\t")
+    assert n1 == n2
+    index.write_text(f"{header}\n{t1}\t{o2}\t{n1}\n{t2}\t{o1}\t{n2}\n")
+
+    with FileStore(tmp_path / "s", family_model) as reopened:
+        with pytest.raises(StoreError):
+            export_store(reopened, family_model)
+
+
+def test_rolled_back_import_then_commit_reopens_without_rebuild(family_model, tmp_path, monkeypatch):
+    store = FileStore(tmp_path / "s", family_model)
+    import_document(write_canonical([person("keep")], family_model), family_model, store)
+    with pytest.raises(DanglingRefError):
+        bad = write_canonical([person("o1", spouse=Oid("o9"))], family_model)
+        import_document(bad, family_model, store)
+    store.put(person("later"))
+    store.commit()
+    before = export_store(store, family_model)
+    store.close()
+
+    def no_rebuild(self):
+        raise AssertionError("a committed index must be accepted as it is")
+
+    monkeypatch.setattr(FileStore, "_rebuild_index", no_rebuild)
+    with FileStore(tmp_path / "s", family_model) as reopened:
+        assert export_store(reopened, family_model) == before
 
 
 def test_reopen_preserves_bytes_exactly(family_model, tmp_path):
