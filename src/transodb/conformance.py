@@ -1,7 +1,6 @@
 """Cross-cutting verification harness.
 
-Holds the instrumentation counters threaded through the codec and store
-paths, deterministic random generators for models and graphs, the adapter
+Holds deterministic random generators for models and graphs, the adapter
 contract suite that any backend must pass, and independent oracles
 (reference hash, naive layout flattening) that deliberately do not call
 into the implementations they check.
@@ -10,7 +9,6 @@ into the implementations they check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 from .graph import ObjectGraph, build_graph, records_equal
@@ -27,47 +25,6 @@ from .model import (
 )
 from .objectxml import ObjectRecord, Oid, Value, format_record
 from .store import DuplicateOidError, StoreAdapter
-
-
-@dataclass
-class Instrumentation:
-    """Counters proving the streaming bounds hold.
-
-    max_records_in_flight must end at 1 for any canonical read, import, or
-    export over a non-empty document; max_pending_oids tracks the closure
-    set; max_open_elements bounds simultaneously open XML contexts during
-    schema parsing.
-    """
-
-    max_records_in_flight: int = 0
-    max_pending_oids: int = 0
-    max_open_elements: int = 0
-    _records_open: int = dc_field(default=0, repr=False)
-    _elements_open: int = dc_field(default=0, repr=False)
-
-    def reset(self) -> None:
-        self.max_records_in_flight = 0
-        self.max_pending_oids = 0
-        self.max_open_elements = 0
-        self._records_open = 0
-        self._elements_open = 0
-
-    def record_opened(self) -> None:
-        self._records_open += 1
-        self.max_records_in_flight = max(self.max_records_in_flight, self._records_open)
-
-    def record_closed(self) -> None:
-        self._records_open -= 1
-
-    def element_opened(self) -> None:
-        self._elements_open += 1
-        self.max_open_elements = max(self.max_open_elements, self._elements_open)
-
-    def element_closed(self) -> None:
-        self._elements_open -= 1
-
-    def note_pending(self, size: int) -> None:
-        self.max_pending_oids = max(self.max_pending_oids, size)
 
 
 # -- independent oracles ----------------------------------------------------

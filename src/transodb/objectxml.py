@@ -308,13 +308,11 @@ class _Decoder:
         layouts: LayoutIndex,
         sink: Callable[[ObjectRecord], None],
         on_root: Callable[[dict[str, str]], None] | None = None,
-        instrumentation=None,
     ):
         self._model = model
         self._layouts = layouts
         self._sink = sink
         self._on_root = on_root
-        self._instrumentation = instrumentation
         # nesting of the open element relative to <o>: 0 is the record
         # itself, 1 one of its fields, -1 the <objects> root
         self._level = -1 if on_root is None else -2
@@ -348,8 +346,6 @@ class _Decoder:
         elif level == 0:
             if name != "o":
                 self.fail(f"expected <o>, found <{name}>")
-            if self._instrumentation is not None:
-                self._instrumentation.record_opened()
             self._open_record(attrs)
         elif level < 0:
             if name != "objects":
@@ -423,8 +419,6 @@ class _Decoder:
             self.fail(str(exc))
         self._record = None
         self._sink(record)
-        if self._instrumentation is not None:
-            self._instrumentation.record_closed()
 
     def _store(self, name: str, value) -> None:
         record = self._record
@@ -464,7 +458,6 @@ def read_canonical(
     data: bytes,
     model: ClassModel,
     sink: Callable[[ObjectRecord], None],
-    instrumentation=None,
 ) -> DocumentHeader:
     """Stream-decode a canonical document, invoking sink once per object.
 
@@ -489,7 +482,7 @@ def read_canonical(
             )
         header.append(DocumentHeader(attrs["schema"], attrs["schemaHash"]))
 
-    decoder = _Decoder(model, LayoutIndex(model), sink, on_root, instrumentation)
+    decoder = _Decoder(model, LayoutIndex(model), sink, on_root)
     decoder.decode(data)
     return header[0]
 

@@ -40,7 +40,6 @@ from .objectxml import (
 )
 from .xsd import emit_schema, parse_schema
 
-NO_LOCK_ENV = "TRANSODB_NO_LOCK"
 _CRC_CHUNK = 64 * 1024  # bytes per read while checking the log at open
 
 
@@ -183,8 +182,13 @@ class FileStore(StoreAdapter):
     the index from the log. The rebuild decodes and validates every line
     and rejects as corruption any line that is not the canonical form of
     its own record. So every line an accepted index points at is a
-    validated canonical line, and scan_lines copies it once it has checked
-    that the line frames the record its index key names.
+    validated canonical line; get, scan and scan_lines read one only after
+    checking that it frames the record its index key names, and scan_lines
+    then copies it as it is.
+
+    Checkpoint is the log length and CRC; as the log is append-only,
+    rollback truncates the log there and drops the index entries at or past
+    that length.
 
     An open store holds an exclusive flock on ``LOCK``, which rejects
     concurrent opens of one directory; the kernel drops it when the
@@ -201,7 +205,6 @@ class FileStore(StoreAdapter):
         self.model = model
         self._layouts = LayoutIndex(model)
         self._index: dict[str, tuple[int, int]] = {}
-        self._insertion: list[str] = []
         self._lock_fd: int | None = None
         self._log: BinaryIO | None = None
         self._reader: BinaryIO | None = None
@@ -223,8 +226,6 @@ class FileStore(StoreAdapter):
     # -- lifecycle --------------------------------------------------------
 
     def _acquire_lock(self) -> None:
-        if os.environ.get(NO_LOCK_ENV) == "1":
-            return
         path = self.directory / self.LOCK_FILE
         while self._lock_fd is None:
             fd = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
@@ -296,7 +297,6 @@ class FileStore(StoreAdapter):
             covered = sum(length + 1 for _, length in entries.values())
             if covered == self._log_len and self._log_crc() == crc:
                 self._index = entries
-                self._insertion = sorted(entries, key=lambda t: entries[t][0])
                 self._crc = crc
                 return
         self._rebuild_index()
@@ -318,7 +318,6 @@ class FileStore(StoreAdapter):
         line that decodes but is not its record's canonical form, is
         corruption and raises."""
         self._index = {}
-        self._insertion = []
         crc = offset = 0
         self._reader.seek(0)
         for raw in self._reader:
@@ -342,7 +341,6 @@ class FileStore(StoreAdapter):
             if token in self._index:
                 raise StoreError(f"log at {self.directory} holds duplicate OID {token!r}")
             self._index[token] = (offset, len(line) - 1)
-            self._insertion.append(token)
             if not complete:
                 # full record text landed but the newline did not; finish it
                 self._log.write(b"\n")
@@ -372,7 +370,6 @@ class FileStore(StoreAdapter):
         line = _encode_line(record, self._layouts)
         self._log.write(line)
         self._index[token] = (self._log_len, len(line) - 1)
-        self._insertion.append(token)
         self._log_len += len(line)
         self._crc = zlib.crc32(line, self._crc)
         self._dirty_reads = True
@@ -382,13 +379,30 @@ class FileStore(StoreAdapter):
             self._log.flush()
             self._dirty_reads = False
 
-    def _read_at(self, token: str) -> ObjectRecord:
+    def _line(self, token: str) -> bytes:
+        """The log line, newline included, that the index entry of token
+        points at, once checked to frame the record that token names."""
         self._flush_puts()
         offset, length = self._index[token]
         # positioned read: no shared seek state, so concurrent readers on
         # one handle stay safe (single-writer/multi-reader contract)
-        line = os.pread(self._reader.fileno(), length, offset)
-        return decode_record_line(line, self.model, self._layouts)
+        line = os.pread(self._reader.fileno(), length + 1, offset)
+        # the line was validated and checksummed when it was accepted;
+        # what is left to check is that the entry frames that record
+        if not (
+            line.startswith(b'<o c="')
+            and line.startswith(b'" id="%s">' % token.encode(), line.find(b'"', 6))
+            and line.endswith(b"</o>\n")
+            and line.find(b"\n") == length
+        ):
+            raise StoreError(
+                f"index entry {token!r} at byte {offset} of {self.directory} "
+                f"does not frame its record"
+            )
+        return line
+
+    def _read_at(self, token: str) -> ObjectRecord:
+        return decode_record_line(self._line(token), self.model, self._layouts)
 
     def get(self, oid: Oid) -> ObjectRecord | None:
         if oid.token not in self._index:
@@ -403,24 +417,8 @@ class FileStore(StoreAdapter):
             yield self._read_at(token)
 
     def scan_lines(self) -> Iterator[bytes]:
-        self._flush_puts()
-        fd = self._reader.fileno()
         for token in sorted(self._index):
-            offset, length = self._index[token]
-            line = os.pread(fd, length + 1, offset)
-            # the line was validated and checksummed when it was accepted;
-            # what is left to check is that the entry frames that record
-            if not (
-                line.startswith(b'<o c="')
-                and line.startswith(b'" id="%s">' % token.encode(), line.find(b'"', 6))
-                and line.endswith(b"</o>\n")
-                and line.find(b"\n") == length
-            ):
-                raise StoreError(
-                    f"index entry {token!r} at byte {offset} of {self.directory} "
-                    f"does not frame its record"
-                )
-            yield line
+            yield self._line(token)
 
     def count(self) -> int:
         return len(self._index)
@@ -431,16 +429,16 @@ class FileStore(StoreAdapter):
         self._write_index()
 
     def checkpoint(self) -> object:
-        return (self._log_len, len(self._insertion), self._crc)
+        return (self._log_len, self._crc)
 
     def rollback(self, token: object) -> None:
-        log_len, kept, crc = token
+        log_len, crc = token
         self._log.flush()
         self._log.truncate(log_len)
         self._log.seek(log_len)
-        for dropped in self._insertion[kept:]:
-            del self._index[dropped]
-        del self._insertion[kept:]
+        # the log is append-only: whatever was put after the checkpoint
+        # lies at or past log_len
+        self._index = {t: entry for t, entry in self._index.items() if entry[0] < log_len}
         self._log_len = log_len
         self._crc = crc
         self._dirty_reads = True
@@ -485,21 +483,18 @@ class _Ingest:
     the destination rolls back unless the closure check passes. Memory is
     one record in flight plus the set of referenced OID tokens."""
 
-    def __init__(self, handle: StoreAdapter, instrumentation=None):
+    def __init__(self, handle: StoreAdapter):
         self.handle = handle
         self.layouts = LayoutIndex(handle.model)
         self.token = handle.checkpoint()
         self.pending: set[str] = set()
         self.stored = 0
-        self.instrumentation = instrumentation
 
     def accept(self, record: ObjectRecord) -> None:
         self.handle.put(record)
         self.stored += 1
         for _, _, target in iter_refs(record, self.layouts):
             self.pending.add(target.token)
-        if self.instrumentation is not None:
-            self.instrumentation.note_pending(len(self.pending))
 
     def finish(self) -> int:
         missing = sorted(t for t in self.pending if not self.handle.contains(Oid(t)))
@@ -512,12 +507,7 @@ class _Ingest:
         self.handle.rollback(self.token)
 
 
-def import_document(
-    data: bytes,
-    model: ClassModel,
-    handle: StoreAdapter,
-    instrumentation=None,
-) -> int:
+def import_document(data: bytes, model: ClassModel, handle: StoreAdapter) -> int:
     """Load a canonical document into an open store.
 
     Single pass: each decoded record is put immediately; referenced OIDs
@@ -525,16 +515,16 @@ def import_document(
     failure aborts without commit and restores the pre-import state.
     """
     _require_same_model(model, handle.model)
-    ingest = _Ingest(handle, instrumentation)
+    ingest = _Ingest(handle)
     try:
-        read_canonical(data, model, ingest.accept, instrumentation=instrumentation)
+        read_canonical(data, model, ingest.accept)
         return ingest.finish()
     except (TransodbError, OSError):
         ingest.abort()
         raise
 
 
-def export_to(handle: StoreAdapter, model: ClassModel, out: BinaryIO, instrumentation=None) -> int:
+def export_to(handle: StoreAdapter, model: ClassModel, out: BinaryIO) -> int:
     """Stream the store's content as a canonical document into `out`.
 
     The body is the store's scan_lines copied as they are: a FileStore
@@ -546,38 +536,30 @@ def export_to(handle: StoreAdapter, model: ClassModel, out: BinaryIO, instrument
     writer.begin()
     count = 0
     for line in handle.scan_lines():
-        if instrumentation is not None:
-            instrumentation.record_opened()
         out.write(line)
         count += 1
-        if instrumentation is not None:
-            instrumentation.record_closed()
     writer.end()
     return count
 
 
-def export_store(handle: StoreAdapter, model: ClassModel, instrumentation=None) -> bytes:
+def export_store(handle: StoreAdapter, model: ClassModel) -> bytes:
     """Canonical document equal to write_canonical over the scan stream."""
     buf = io.BytesIO()
-    export_to(handle, model, buf, instrumentation=instrumentation)
+    export_to(handle, model, buf)
     return buf.getvalue()
 
 
-def migrate(src: StoreAdapter, dst: StoreAdapter, model: ClassModel, instrumentation=None) -> int:
+def migrate(src: StoreAdapter, dst: StoreAdapter, model: ClassModel) -> int:
     """Move every record from src into dst, record by record.
 
     Equivalent to exporting src and importing the document into dst, but
     with no intermediate document. dst is rolled back on any failure.
     """
     _require_same_model(model, src.model, dst.model)
-    ingest = _Ingest(dst, instrumentation)
+    ingest = _Ingest(dst)
     try:
         for record in src.scan():
-            if instrumentation is not None:
-                instrumentation.record_opened()
             ingest.accept(record)
-            if instrumentation is not None:
-                instrumentation.record_closed()
         return ingest.finish()
     except (TransodbError, OSError):
         ingest.abort()

@@ -107,10 +107,9 @@ _ALLOWED_CHILDREN = {
 class _SubsetParser:
     """Single-pass event consumer; declarations are resolved afterwards."""
 
-    def __init__(self, instrumentation=None):
+    def __init__(self):
         self.diagnostics: list[SchemaDiagnostic] = []
         self.classes: dict[str, _ClassDecl] = {}
-        self.instrumentation = instrumentation
         self.xsd_prefixes: set[str] = set()
         self.default_is_xsd = False
         self._stack: list[str] = []  # XSD local names of open subset elements
@@ -161,8 +160,6 @@ class _SubsetParser:
     # -- event handlers --------------------------------------------------
 
     def _start(self, name: str, attrs: dict[str, str]) -> None:
-        if self.instrumentation is not None:
-            self.instrumentation.element_opened()
         if self._skip_depth:
             self._skip_depth += 1
             return
@@ -208,8 +205,6 @@ class _SubsetParser:
         self._stack.append(local)
 
     def _end(self, name: str) -> None:
-        if self.instrumentation is not None:
-            self.instrumentation.element_closed()
         if self._skip_depth:
             self._skip_depth -= 1
             return
@@ -347,7 +342,7 @@ def _is_xmlns(attr: str, local: str) -> bool:
 
 
 def parse_schema(
-    xsd_text: str | bytes, model_name: str, instrumentation=None
+    xsd_text: str | bytes, model_name: str
 ) -> tuple[ClassModel | None, list[SchemaDiagnostic]]:
     """Parse an XSD document into a class model.
 
@@ -355,7 +350,7 @@ def parse_schema(
     is an error. A returned model always validates cleanly.
     """
     data = xsd_text.encode("utf-8") if isinstance(xsd_text, str) else bytes(xsd_text)
-    parser = _SubsetParser(instrumentation)
+    parser = _SubsetParser()
     parser.run(data)
     diagnostics = parser.diagnostics
 

@@ -2,7 +2,6 @@
 
 from transodb import dump_model, graphs_equal, validate_model, write_canonical
 from transodb.conformance import (
-    Instrumentation,
     fnv1a64_reference,
     random_graph,
     random_model,
@@ -84,18 +83,3 @@ def test_fnv_reference_vectors():
     assert fnv1a64_reference(b"") == "cbf29ce484222325"
     assert fnv1a64_reference(b"a") == "af63dc4c8601ec8c"
     assert fnv1a64_reference(b"foobar") == "85944171f73967e8"
-
-
-def test_instrumentation_counters():
-    instr = Instrumentation()
-    instr.record_opened()
-    instr.record_opened()
-    instr.record_closed()
-    instr.record_closed()
-    assert instr.max_records_in_flight == 2
-    instr.note_pending(7)
-    instr.note_pending(3)
-    assert instr.max_pending_oids == 7
-    instr.reset()
-    assert instr.max_records_in_flight == 0
-    assert instr.max_pending_oids == 0

@@ -21,11 +21,11 @@ from transodb import (
     write_canonical,
     write_verbose,
 )
-from transodb.conformance import Instrumentation, fnv1a64_reference, random_graph, random_model
+from transodb.conformance import fnv1a64_reference, random_graph, random_model
 from transodb.graph import records_equal
 from transodb.objectxml import fnv1a64, parse_record_line
 
-from conftest import person
+from conftest import person, with_bad_tail
 
 
 # -- schema hash --------------------------------------------------------------
@@ -334,10 +334,12 @@ def test_header_attribute_escaping_round_trips(person_model):
 
 def test_reader_streams_one_record_at_a_time(family_model):
     records = [person(f"p{i}", spouse=Oid(f"p{(i + 1) % 50}")) for i in range(50)]
-    doc = write_canonical(records, family_model)
-    instr = Instrumentation()
-    read_canonical(doc, family_model, lambda r: None, instrumentation=instr)
-    assert instr.max_records_in_flight == 1
+    doc = with_bad_tail(write_canonical(records, family_model))
+    got = []
+    with pytest.raises(DocumentError):
+        read_canonical(doc, family_model, got.append)
+    # each record reached the sink as it closed, before the bad one was read
+    assert [r.oid.token for r in got] == sorted((r.oid.token for r in records), key=str.encode)
 
 
 # -- verbose baseline -----------------------------------------------------------

@@ -28,15 +28,10 @@ from transodb import (
     write_canonical,
 )
 from transodb.bench import bench_model
-from transodb.conformance import Instrumentation, check_adapter_contract, random_graph, random_model
+from transodb.conformance import check_adapter_contract, random_graph, random_model
 from transodb.graph import records_equal
 
-from conftest import person
-
-
-@pytest.fixture(autouse=True)
-def no_lock_disabled(monkeypatch):
-    monkeypatch.delenv("TRANSODB_NO_LOCK", raising=False)
+from conftest import person, stream_through_file_store
 
 
 def make_factories(kind, tmp_path, model):
@@ -93,14 +88,6 @@ def test_lock_rejects_second_writer(person_model, tmp_path):
     first.close()
     second = FileStore(tmp_path / "s", person_model)  # released on close
     second.close()
-
-
-def test_lock_bypass_env(person_model, tmp_path, monkeypatch):
-    monkeypatch.setenv("TRANSODB_NO_LOCK", "1")
-    a = FileStore(tmp_path / "s", person_model)
-    b = FileStore(tmp_path / "s", person_model)
-    a.close()
-    b.close()
 
 
 def test_open_checks_schema_hash(person_model, family_model, tmp_path):
@@ -264,7 +251,16 @@ def test_non_canonical_log_line_is_corruption(family_model, tmp_path):
         FileStore(tmp_path / "s", family_model)
 
 
-def test_swapped_index_offsets_fail_export(family_model, tmp_path):
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda store, model: export_store(store, model),
+        lambda store, model: store.get(Oid("p1")),
+        lambda store, model: list(store.scan()),
+    ],
+    ids=["export", "get", "scan"],
+)
+def test_swapped_index_offsets_fail_export(read, family_model, tmp_path):
     _two_committed_people(tmp_path / "s", family_model)
     index = tmp_path / "s" / "index.idx"
     header, p1, p2 = index.read_text().splitlines()
@@ -274,7 +270,7 @@ def test_swapped_index_offsets_fail_export(family_model, tmp_path):
 
     with FileStore(tmp_path / "s", family_model) as reopened:
         with pytest.raises(StoreError):
-            export_store(reopened, family_model)
+            read(reopened, family_model)
 
 
 def test_rolled_back_import_then_commit_reopens_without_rebuild(family_model, tmp_path, monkeypatch):
@@ -334,17 +330,22 @@ def test_import_two_cycle_then_get(kind, family_model, tmp_path):
     store.close()
 
 
-@pytest.mark.parametrize("kind", ["mem", "file"])
+@pytest.mark.parametrize("kind", ["mem", "file", "file-reopened"])
 def test_import_dangling_rolls_back(kind, family_model, tmp_path):
-    make, _ = make_factories(kind, tmp_path, family_model)
+    make, reopen = make_factories(kind, tmp_path, family_model)
     store = make()
-    import_document(write_canonical([person("keep")], family_model), family_model, store)
+    committed = [person("p5"), person("p6")]
+    import_document(write_canonical(committed, family_model), family_model, store)
+    if kind == "file-reopened":
+        store = reopen(store)
     before = export_store(store, family_model)
 
-    bad = write_canonical([person("o1", spouse=Oid("o9"))], family_model)
+    # the new OID sorts before the committed ones
+    bad = write_canonical([person("a1", spouse=Oid("o9"))], family_model)
     with pytest.raises(DanglingRefError):
         import_document(bad, family_model, store)
-    assert store.count() == 1
+    assert store.count() == 2
+    assert store.get(Oid("a1")) is None
     assert export_store(store, family_model) == before
     store.close()
 
@@ -449,24 +450,14 @@ def test_migrate_dangling_in_source_detected(family_model):
     assert dst.count() == 0
 
 
-# -- streaming instrumentation ------------------------------------------------------
+# -- streaming -----------------------------------------------------------------
 
 
 def test_import_and_export_stream_one_record(tmp_path):
     model = bench_model()
     graph = synthesize_graph(model, 1, 300)
     doc = write_canonical(graph.records.values(), model)
-
-    store = FileStore(tmp_path / "s", model)
-    instr = Instrumentation()
-    import_document(doc, model, store, instrumentation=instr)
-    assert instr.max_records_in_flight == 1
-    assert instr.max_pending_oids <= 300
-
-    instr.reset()
-    export_store(store, model, instrumentation=instr)
-    assert instr.max_records_in_flight == 1
-    store.close()
+    assert stream_through_file_store(doc, model, tmp_path / "s", 300) == doc
 
 
 def test_concurrent_readers_share_one_handle(family_model, tmp_path):
