@@ -20,13 +20,9 @@ from typing import Iterator
 from .bench import bench_model, rows_to_tsv, run_bench
 from .errors import TransodbError
 from .model import ClassModel, dump_model
-from .store import FileStore, MemStore, StoreAdapter, export_to, import_document, migrate
+from .store import FileStore, StoreAdapter, export_to, import_document, migrate
 from .objectxml import schema_hash
 from .xsd import parse_schema
-
-# Named in-process stores addressable as mem:NAME; intended for tests that
-# drive main() directly.
-MEM_FIXTURES: dict[str, MemStore] = {}
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -44,16 +40,6 @@ def _load_model(path: str) -> ClassModel | None:
 def _store(spec: str, model: ClassModel, create: bool = False) -> Iterator[StoreAdapter]:
     """Open a store for the length of one command and close it after. If
     the command fails, a store directory this call created is removed."""
-    if spec.startswith("mem:"):
-        name = spec[4:]
-        store = MEM_FIXTURES.get(name)
-        if store is None:
-            store = MemStore(model)
-            MEM_FIXTURES[name] = store
-        elif dump_model(store.model) != dump_model(model):
-            raise TransodbError(f"mem fixture {name!r} is bound to a different schema")
-        yield store
-        return
     path = Path(spec.removeprefix("file:"))
     created = create and not path.exists()
     try:
@@ -147,20 +133,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="write a store's content as a canonical document")
     p.add_argument("--schema", required=True)
-    p.add_argument("--store", required=True, help="store directory, file:PATH, or mem:NAME")
+    p.add_argument("--store", required=True, help="store directory or file:PATH")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("import", help="load a canonical document into a store")
     p.add_argument("--schema", required=True)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--store", required=True, help="store directory, file:PATH, or mem:NAME")
+    p.add_argument("--store", required=True, help="store directory or file:PATH")
     p.set_defaults(func=cmd_import)
 
     p = sub.add_parser("migrate", help="copy every record from one store into another")
     p.add_argument("--schema", required=True)
-    p.add_argument("--from", dest="from_spec", required=True, help="file:PATH or mem:NAME")
-    p.add_argument("--to", dest="to_spec", required=True, help="file:PATH or mem:NAME")
+    p.add_argument("--from", dest="from_spec", required=True, help="store directory or file:PATH")
+    p.add_argument("--to", dest="to_spec", required=True, help="store directory or file:PATH")
     p.set_defaults(func=cmd_migrate)
 
     p = sub.add_parser("bench", help="size and timing table over the bundled schema")

@@ -1,12 +1,16 @@
 """Storage backends behind one adapter contract, plus the document-level
 import/export/migrate operations built on it.
 
-Every backend exposes the same surface: put (no overwrite), get, scan and
-scan_lines in byte-wise OID order, count, commit, close. Checkpoint/rollback
-exists so imports stay atomic on any backend. MemStore is a plain
-in-process map; FileStore pairs an append-only record log with an offset
-index that carries a CRC-32 of the log and is rebuilt from the log whenever
-it is missing or stale.
+A store holds canonical record lines (``format_record`` plus a newline,
+UTF-8) keyed by OID token; records are a decoded view of them. The
+adapter base writes the public surface once: put (validate, format, no
+overwrite), get and scan (decode), contains, count, and scan_lines in
+byte-wise OID order. A backend supplies only line storage: append a line,
+read one back, commit, checkpoint/rollback (so imports stay atomic on any
+backend) and close. MemStore is a plain in-process map of lines;
+FileStore pairs an append-only record log with an offset index that
+carries a CRC-32 of the log and is rebuilt from the log whenever it is
+missing or stale.
 
 One handle tolerates a single writing thread or any number of reading
 threads; concurrent writers to one FileStore directory are rejected via
@@ -67,32 +71,58 @@ class StoreLockedError(StoreError):
 class StoreAdapter(ABC):
     """Behavioral contract every backend implements.
 
-    The bound model is fixed at open; put validates against it. scan yields
-    records in byte-wise OID order regardless of insertion order, and after
-    commit reflects every accepted put.
+    The bound model is fixed at open; put validates a record against it
+    and stores its canonical line, so the caller's object is copied and
+    get and scan return a fresh decode. scan yields records in byte-wise
+    OID order regardless of insertion order, and after commit reflects
+    every accepted put. A backend keeps one entry per stored OID token in
+    ``_entries`` (whatever ``_append`` returned) and reads the line back
+    with ``_line``.
     """
 
-    model: ClassModel
+    def __init__(self, model: ClassModel):
+        self.model = model
+        self._layouts = LayoutIndex(model)
+        self._entries: dict = {}
 
-    @abstractmethod
-    def put(self, record: ObjectRecord) -> None: ...
+    def put(self, record: ObjectRecord) -> None:
+        validate_record(record, self.model, self._layouts)
+        self._put_line(record.oid.token, _encode_line(record, self._layouts))
 
-    @abstractmethod
-    def get(self, oid: Oid) -> ObjectRecord | None: ...
+    def _put_line(self, token: str, line: bytes) -> None:
+        """Store a canonical line the caller has validated as token's record."""
+        if token in self._entries:
+            raise DuplicateOidError(f"OID {token!r} already stored")
+        self._entries[token] = self._append(line)
+
+    def get(self, oid: Oid) -> ObjectRecord | None:
+        if oid.token not in self._entries:
+            return None
+        return decode_record_line(self._line(oid.token), self.model, self._layouts)
 
     def contains(self, oid: Oid) -> bool:
-        return self.get(oid) is not None
+        return oid.token in self._entries
 
-    @abstractmethod
-    def scan(self) -> Iterator[ObjectRecord]: ...
+    def scan(self) -> Iterator[ObjectRecord]:
+        for line in self.scan_lines():
+            yield decode_record_line(line, self.model, self._layouts)
 
-    @abstractmethod
     def scan_lines(self) -> Iterator[bytes]:
         """The canonical record lines, each ending in a newline, in the
         order of scan: ``format_record`` of each record, UTF-8 encoded."""
+        for token in sorted(self._entries):
+            yield self._line(token)
+
+    def count(self) -> int:
+        return len(self._entries)
 
     @abstractmethod
-    def count(self) -> int: ...
+    def _append(self, line: bytes) -> object:
+        """Keep a new line; return the entry that _line reads it back by."""
+
+    @abstractmethod
+    def _line(self, token: str) -> bytes:
+        """The stored line of a token present in _entries."""
 
     @abstractmethod
     def commit(self) -> None: ...
@@ -116,41 +146,15 @@ class StoreAdapter(ABC):
 
 
 class MemStore(StoreAdapter):
-    """In-process backend; commit is a no-op."""
+    """In-process backend: a map of OID token to line; commit is a no-op."""
 
-    def __init__(self, model: ClassModel):
-        self.model = model
-        self._layouts = LayoutIndex(model)
-        self._records: dict[str, ObjectRecord] = {}
+    _entries: dict[str, bytes]
 
-    def put(self, record: ObjectRecord) -> None:
-        validate_record(record, self.model, self._layouts)
-        token = record.oid.token
-        if token in self._records:
-            raise DuplicateOidError(f"OID {token!r} already stored")
-        self._records[token] = record
+    def _append(self, line: bytes) -> bytes:
+        return line
 
-    def get(self, oid: Oid) -> ObjectRecord | None:
-        return self._records.get(oid.token)
-
-    def contains(self, oid: Oid) -> bool:
-        return oid.token in self._records
-
-    def scan(self) -> Iterator[ObjectRecord]:
-        for token in sorted(self._records):
-            yield self._records[token]
-
-    def scan_lines(self) -> Iterator[bytes]:
-        # records are caller-owned and mutable, so each is checked again
-        for token in sorted(self._records):
-            record = self._records[token]
-            validate_record(record, self.model, self._layouts)
-            if record.oid.token != token:
-                raise StoreError(f"record stored as {token!r} now has OID {record.oid.token!r}")
-            yield _encode_line(record, self._layouts)
-
-    def count(self) -> int:
-        return len(self._records)
+    def _line(self, token: str) -> bytes:
+        return self._entries[token]
 
     def commit(self) -> None:
         pass
@@ -159,13 +163,13 @@ class MemStore(StoreAdapter):
         pass
 
     def checkpoint(self) -> object:
-        return len(self._records)
+        return len(self._entries)
 
     def rollback(self, token: object) -> None:
         keep = int(token)
         # dicts preserve insertion order, so the tail is what came after.
-        for key in list(self._records)[keep:]:
-            del self._records[key]
+        for key in list(self._entries)[keep:]:
+            del self._entries[key]
 
 
 class FileStore(StoreAdapter):
@@ -182,9 +186,8 @@ class FileStore(StoreAdapter):
     the index from the log. The rebuild decodes and validates every line
     and rejects as corruption any line that is not the canonical form of
     its own record. So every line an accepted index points at is a
-    validated canonical line; get, scan and scan_lines read one only after
-    checking that it frames the record its index key names, and scan_lines
-    then copies it as it is.
+    validated canonical line; ``_line`` hands one out only after checking
+    that it frames the record its index key names.
 
     Checkpoint is the log length and CRC; as the log is append-only,
     rollback truncates the log there and drops the index entries at or past
@@ -200,11 +203,11 @@ class FileStore(StoreAdapter):
     INDEX_FILE = "index.idx"
     LOCK_FILE = "LOCK"
 
+    _entries: dict[str, tuple[int, int]]  # token -> (log offset, line length without newline)
+
     def __init__(self, directory: str | Path, model: ClassModel, create: bool = True):
+        super().__init__(model)
         self.directory = Path(directory)
-        self.model = model
-        self._layouts = LayoutIndex(model)
-        self._index: dict[str, tuple[int, int]] = {}
         self._lock_fd: int | None = None
         self._log: BinaryIO | None = None
         self._reader: BinaryIO | None = None
@@ -296,7 +299,7 @@ class FileStore(StoreAdapter):
         else:
             covered = sum(length + 1 for _, length in entries.values())
             if covered == self._log_len and self._log_crc() == crc:
-                self._index = entries
+                self._entries = entries
                 self._crc = crc
                 return
         self._rebuild_index()
@@ -317,7 +320,7 @@ class FileStore(StoreAdapter):
         dropped and the log truncated. Damage anywhere else, including a
         line that decodes but is not its record's canonical form, is
         corruption and raises."""
-        self._index = {}
+        self._entries = {}
         crc = offset = 0
         self._reader.seek(0)
         for raw in self._reader:
@@ -338,9 +341,9 @@ class FileStore(StoreAdapter):
                     f"log at {self.directory} holds a non-canonical record at byte {offset}"
                 )
             token = record.oid.token
-            if token in self._index:
+            if token in self._entries:
                 raise StoreError(f"log at {self.directory} holds duplicate OID {token!r}")
-            self._index[token] = (offset, len(line) - 1)
+            self._entries[token] = (offset, len(line) - 1)
             if not complete:
                 # full record text landed but the newline did not; finish it
                 self._log.write(b"\n")
@@ -355,24 +358,20 @@ class FileStore(StoreAdapter):
         tmp = path.with_suffix(".idx.tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(f"#{self._crc:08x}\n")
-            for token in sorted(self._index):
-                offset, length = self._index[token]
+            for token in sorted(self._entries):
+                offset, length = self._entries[token]
                 fh.write(f"{token}\t{offset}\t{length}\n")
         os.replace(tmp, path)
 
-    # -- contract ----------------------------------------------------------
+    # -- line storage ------------------------------------------------------
 
-    def put(self, record: ObjectRecord) -> None:
-        validate_record(record, self.model, self._layouts)
-        token = record.oid.token
-        if token in self._index:
-            raise DuplicateOidError(f"OID {token!r} already stored")
-        line = _encode_line(record, self._layouts)
+    def _append(self, line: bytes) -> tuple[int, int]:
+        entry = (self._log_len, len(line) - 1)
         self._log.write(line)
-        self._index[token] = (self._log_len, len(line) - 1)
         self._log_len += len(line)
         self._crc = zlib.crc32(line, self._crc)
         self._dirty_reads = True
+        return entry
 
     def _flush_puts(self) -> None:
         if self._dirty_reads:
@@ -383,7 +382,7 @@ class FileStore(StoreAdapter):
         """The log line, newline included, that the index entry of token
         points at, once checked to frame the record that token names."""
         self._flush_puts()
-        offset, length = self._index[token]
+        offset, length = self._entries[token]
         # positioned read: no shared seek state, so concurrent readers on
         # one handle stay safe (single-writer/multi-reader contract)
         line = os.pread(self._reader.fileno(), length + 1, offset)
@@ -401,28 +400,6 @@ class FileStore(StoreAdapter):
             )
         return line
 
-    def _read_at(self, token: str) -> ObjectRecord:
-        return decode_record_line(self._line(token), self.model, self._layouts)
-
-    def get(self, oid: Oid) -> ObjectRecord | None:
-        if oid.token not in self._index:
-            return None
-        return self._read_at(oid.token)
-
-    def contains(self, oid: Oid) -> bool:
-        return oid.token in self._index
-
-    def scan(self) -> Iterator[ObjectRecord]:
-        for token in sorted(self._index):
-            yield self._read_at(token)
-
-    def scan_lines(self) -> Iterator[bytes]:
-        for token in sorted(self._index):
-            yield self._line(token)
-
-    def count(self) -> int:
-        return len(self._index)
-
     def commit(self) -> None:
         self._log.flush()
         os.fsync(self._log.fileno())
@@ -438,7 +415,7 @@ class FileStore(StoreAdapter):
         self._log.seek(log_len)
         # the log is append-only: whatever was put after the checkpoint
         # lies at or past log_len
-        self._index = {t: entry for t, entry in self._index.items() if entry[0] < log_len}
+        self._entries = {t: entry for t, entry in self._entries.items() if entry[0] < log_len}
         self._log_len = log_len
         self._crc = crc
         self._dirty_reads = True
@@ -479,19 +456,21 @@ def _require_same_model(*models: ClassModel) -> None:
 
 
 class _Ingest:
-    """One streaming load into a store: records are put as they arrive and
-    the destination rolls back unless the closure check passes. Memory is
-    one record in flight plus the set of referenced OID tokens."""
+    """One streaming load into a store: validated records are stored as
+    their canonical lines as they arrive, and the destination rolls back
+    unless the closure check passes. Memory is one record in flight plus
+    the set of referenced OID tokens."""
 
     def __init__(self, handle: StoreAdapter):
         self.handle = handle
-        self.layouts = LayoutIndex(handle.model)
+        self.layouts = handle._layouts
         self.token = handle.checkpoint()
         self.pending: set[str] = set()
         self.stored = 0
 
-    def accept(self, record: ObjectRecord) -> None:
-        self.handle.put(record)
+    def accept(self, record: ObjectRecord, line: bytes) -> None:
+        """Store line, the canonical line of the validated record."""
+        self.handle._put_line(record.oid.token, line)
         self.stored += 1
         for _, _, target in iter_refs(record, self.layouts):
             self.pending.add(target.token)
@@ -510,14 +489,17 @@ class _Ingest:
 def import_document(data: bytes, model: ClassModel, handle: StoreAdapter) -> int:
     """Load a canonical document into an open store.
 
-    Single pass: each decoded record is put immediately; referenced OIDs
+    Single pass: each decoded record, validated by the reader, is
+    formatted once and its line stored immediately; referenced OIDs
     accumulate in a pending set checked against the store afterwards. Any
     failure aborts without commit and restores the pre-import state.
     """
     _require_same_model(model, handle.model)
     ingest = _Ingest(handle)
     try:
-        read_canonical(data, model, ingest.accept)
+        read_canonical(
+            data, model, lambda record: ingest.accept(record, _encode_line(record, ingest.layouts))
+        )
         return ingest.finish()
     except (TransodbError, OSError):
         ingest.abort()
@@ -527,9 +509,9 @@ def import_document(data: bytes, model: ClassModel, handle: StoreAdapter) -> int
 def export_to(handle: StoreAdapter, model: ClassModel, out: BinaryIO) -> int:
     """Stream the store's content as a canonical document into `out`.
 
-    The body is the store's scan_lines copied as they are: a FileStore
-    hands out log lines it verified at open, a MemStore validates and
-    formats each record.
+    The body is the store's scan_lines copied as they are: every backend
+    holds the canonical line of each record, checked when it was stored
+    (and, in a FileStore, again at open by the log CRC-32).
     """
     _require_same_model(model, handle.model)
     writer = CanonicalWriter(model, out)
@@ -550,16 +532,18 @@ def export_store(handle: StoreAdapter, model: ClassModel) -> bytes:
 
 
 def migrate(src: StoreAdapter, dst: StoreAdapter, model: ClassModel) -> int:
-    """Move every record from src into dst, record by record.
+    """Move every record from src into dst, line by line.
 
     Equivalent to exporting src and importing the document into dst, but
-    with no intermediate document. dst is rolled back on any failure.
+    with no intermediate document: each canonical line of src is decoded
+    once, for its OID and references, and copied into dst as it is. dst
+    is rolled back on any failure.
     """
     _require_same_model(model, src.model, dst.model)
     ingest = _Ingest(dst)
     try:
-        for record in src.scan():
-            ingest.accept(record)
+        for line in src.scan_lines():
+            ingest.accept(decode_record_line(line, dst.model, ingest.layouts), line)
         return ingest.finish()
     except (TransodbError, OSError):
         ingest.abort()

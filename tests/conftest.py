@@ -72,12 +72,13 @@ def with_bad_tail(doc: bytes) -> bytes:
 
 
 class CountingFileStore(FileStore):
-    """A FileStore that counts the puts it accepted."""
+    """A FileStore that counts the records it accepted through _put_line,
+    the one method every put and every import goes through."""
 
     puts = 0
 
-    def put(self, record):
-        super().put(record)
+    def _put_line(self, token, line):
+        super()._put_line(token, line)
         self.puts += 1
 
 

@@ -4,14 +4,13 @@ import pytest
 
 from transodb import (
     FileStore,
-    MemStore,
     export_store,
     import_document,
     synthesize_graph,
     write_canonical,
 )
 from transodb.bench import bench_model
-from transodb.cli import MEM_FIXTURES, main
+from transodb.cli import main
 
 from conftest import person
 
@@ -28,13 +27,6 @@ PERSON_XSD = (
     "  </xs:complexType>\n"
     "</xs:schema>\n"
 )
-
-
-@pytest.fixture(autouse=True)
-def fresh_fixture_registry():
-    MEM_FIXTURES.clear()
-    yield
-    MEM_FIXTURES.clear()
 
 
 @pytest.fixture
@@ -206,28 +198,32 @@ def test_migrate_empty_file_to_file(person_xsd, tmp_path, capsys):
     assert "0 records" in capsys.readouterr().out
 
 
-def test_migrate_mem_to_file(bench_xsd, tmp_path, capsys):
+def test_migrate_file_to_file(bench_xsd, tmp_path, capsys):
     model, _ = _model_of(bench_xsd)
     graph = synthesize_graph(model, 42, 500)
-    fixture = MemStore(model)
+    src = FileStore(tmp_path / "src", model)
     for record in graph.records.values():
-        fixture.put(record)
-    MEM_FIXTURES["src"] = fixture
+        src.put(record)
+    src.commit()
+    src.close()
 
     assert main([
         "migrate", "--schema", str(bench_xsd),
-        "--from", "mem:src", "--to", f"file:{tmp_path / 'dst'}",
+        "--from", f"file:{tmp_path / 'src'}", "--to", f"file:{tmp_path / 'dst'}",
     ]) == 0
-    dst = FileStore(tmp_path / "dst", model)
-    assert export_store(dst, model) == export_store(fixture, model)
-    dst.close()
+    assert "500 records" in capsys.readouterr().out
+    with FileStore(tmp_path / "src", model) as src, FileStore(tmp_path / "dst", model) as dst:
+        assert export_store(dst, model) == export_store(src, model)
+        # the lines are copied as they are, in OID order
+        assert (tmp_path / "dst" / "objects.log").read_bytes() == b"".join(src.scan_lines())
 
 
 def test_migrate_collision_leaves_destination_unchanged(person_xsd, tmp_path, capsys):
     model, _ = _model_of(person_xsd)
-    src = MemStore(model)
+    src = FileStore(tmp_path / "src", model)
     src.put(person("dup"))
-    MEM_FIXTURES["src"] = src
+    src.commit()
+    src.close()
 
     dst_dir = tmp_path / "dst"
     dst = FileStore(dst_dir, model)
@@ -237,29 +233,12 @@ def test_migrate_collision_leaves_destination_unchanged(person_xsd, tmp_path, ca
     dst.close()
 
     assert main([
-        "migrate", "--schema", str(person_xsd), "--from", "mem:src", "--to", f"file:{dst_dir}",
+        "migrate", "--schema", str(person_xsd),
+        "--from", f"file:{tmp_path / 'src'}", "--to", f"file:{dst_dir}",
     ]) == 1
     dst = FileStore(dst_dir, model)
     assert export_store(dst, model) == before
     dst.close()
-
-
-def test_export_from_mem_fixture(person_xsd, tmp_path):
-    model, _ = _model_of(person_xsd)
-    fixture = MemStore(model)
-    fixture.put(person("m1"))
-    MEM_FIXTURES["box"] = fixture
-    out = tmp_path / "box.odbx"
-    assert main(["export", "--schema", str(person_xsd), "--store", "mem:box", "--out", str(out)]) == 0
-    assert out.read_bytes() == export_store(fixture, model)
-
-
-def test_mem_fixture_schema_binding_checked(person_xsd, bench_xsd, tmp_path):
-    model, _ = _model_of(bench_xsd)
-    MEM_FIXTURES["bound"] = MemStore(model)
-    out = tmp_path / "x.odbx"
-    assert main(["export", "--schema", str(person_xsd), "--store", "mem:bound", "--out", str(out)]) == 1
-    assert not out.exists()
 
 
 # -- bench -----------------------------------------------------------------------

@@ -69,6 +69,25 @@ def test_contract_on_empty_graph(kind, tmp_path):
     check_adapter_contract(make, graph, reopen=reopen if kind == "file" else None)
 
 
+@pytest.mark.parametrize("kind", ["mem", "file"])
+def test_put_copies_the_record(kind, family_model, tmp_path):
+    make, _ = make_factories(kind, tmp_path, family_model)
+    store = make()
+    record = person("p1", name="kept", age=30)
+    store.put(record)
+    store.commit()
+    committed = export_store(store, family_model)
+
+    record.values["name"] = "changed"
+    record.values["age"] = "not an integer"
+
+    assert records_equal(store.get(Oid("p1")), person("p1", name="kept", age=30))
+    assert [r.values["name"] for r in store.scan()] == ["kept"]
+    assert export_store(store, family_model) == committed
+    assert committed == write_canonical([person("p1", name="kept", age=30)], family_model)
+    store.close()
+
+
 def test_put_validates_against_bound_model(person_model, tmp_path):
     store = FileStore(tmp_path / "s", person_model)
     from transodb import ObjectRecord, RecordError
@@ -420,8 +439,10 @@ def test_migrate_chain_mem_file_mem(tmp_path):
     fs.close()
 
 
-def test_migrate_collision_leaves_destination_unchanged(family_model, tmp_path):
-    src = MemStore(family_model)
+@pytest.mark.parametrize("kind", ["mem", "file"])
+def test_migrate_collision_leaves_destination_unchanged(kind, family_model, tmp_path):
+    make, _ = make_factories(kind, tmp_path, family_model)
+    src = make()
     src.put(person("shared"))
     src.put(person("extra"))
     dst = FileStore(tmp_path / "dst", family_model)
@@ -432,6 +453,7 @@ def test_migrate_collision_leaves_destination_unchanged(family_model, tmp_path):
     with pytest.raises(DuplicateOidError):
         migrate(src, dst, family_model)
     assert export_store(dst, family_model) == before
+    src.close()
     dst.close()
 
 
@@ -440,14 +462,18 @@ def test_migrate_model_mismatch(person_model, family_model):
         migrate(MemStore(person_model), MemStore(family_model), person_model)
 
 
-def test_migrate_dangling_in_source_detected(family_model):
+@pytest.mark.parametrize("kind", ["mem", "file"])
+def test_migrate_dangling_in_source_detected(kind, family_model, tmp_path):
     # a source populated by raw puts may be non-closed; migrate must catch it
-    src = MemStore(family_model)
+    make, _ = make_factories(kind, tmp_path, family_model)
+    src = make()
     src.put(person("o1", spouse=Oid("ghost")))
+    src.commit()
     dst = MemStore(family_model)
     with pytest.raises(DanglingRefError):
         migrate(src, dst, family_model)
     assert dst.count() == 0
+    src.close()
 
 
 # -- streaming -----------------------------------------------------------------
