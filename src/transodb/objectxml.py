@@ -202,6 +202,28 @@ def iter_refs(record: ObjectRecord, layouts: LayoutIndex) -> Iterator[tuple[str,
                 yield fdef.name, kind.element.target, item
 
 
+# A canonical line escapes <, > and & in text, and " too in attribute
+# values, so '"/>' closes only a reference leaf and a line starts with its
+# record's start tag: these match exactly the start tag (OID token in group
+# 1) and, in iter_refs order, the reference leaves (target token in group
+# 1), never bytes of a string field.
+_LINE_HEAD_RE = re.compile(rb'<o c="[^"]*" id="([A-Za-z0-9_.\-]+)">')
+_LINE_REF_RE = re.compile(rb' r="([A-Za-z0-9_.\-]+)"/>')
+
+
+def line_oid(line: bytes) -> str | None:
+    """The OID token of a canonical record line, read from its start tag;
+    None if the line does not start with one."""
+    head = _LINE_HEAD_RE.match(line)
+    return None if head is None else head[1].decode("ascii")
+
+
+def line_refs(line: bytes) -> list[str]:
+    """The reference target tokens of a canonical record line, read from
+    its bytes: the targets of iter_refs over its record, in order."""
+    return [token.decode("ascii") for token in _LINE_REF_RE.findall(line)]
+
+
 def format_record(record: ObjectRecord, layouts: LayoutIndex) -> str:
     """Render one record as its canonical single-line element (no newline)."""
     parts = [f'<o c="{escape_attr(record.class_name)}" id="{escape_attr(record.oid.token)}">']

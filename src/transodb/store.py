@@ -26,7 +26,7 @@ import re
 import zlib
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from .errors import ModelMismatchError, TransodbError
 from .model import ClassModel, LayoutIndex, dump_model
@@ -38,13 +38,15 @@ from .objectxml import (
     decode_record_line,
     format_record,
     iter_refs,
+    line_oid,
+    line_refs,
     read_canonical,
     schema_hash,
     validate_record,
 )
 from .xsd import emit_schema, parse_schema
 
-_CRC_CHUNK = 64 * 1024  # bytes per read while checking the log at open
+_CRC_CHUNK = 64 * 1024  # bytes per read while checking the log CRC
 
 
 class StoreError(TransodbError):
@@ -187,7 +189,9 @@ class FileStore(StoreAdapter):
     and rejects as corruption any line that is not the canonical form of
     its own record. So every line an accepted index points at is a
     validated canonical line; ``_line`` hands one out only after checking
-    that it frames the record its index key names.
+    that it frames the record its index key names, and ``scan_lines`` ends
+    by checking the CRC-32 of the log again, so an edit to the log while
+    the store is open fails an export or a migrate instead of being copied.
 
     Checkpoint is the log length and CRC; as the log is append-only,
     rollback truncates the log there and drops the index entries at or past
@@ -380,7 +384,9 @@ class FileStore(StoreAdapter):
 
     def _line(self, token: str) -> bytes:
         """The log line, newline included, that the index entry of token
-        points at, once checked to frame the record that token names."""
+        points at, once checked to frame the record that token names: it
+        starts with that record's start tag (``line_oid``), ends with
+        ``</o>`` and holds no other newline."""
         self._flush_puts()
         offset, length = self._entries[token]
         # positioned read: no shared seek state, so concurrent readers on
@@ -389,8 +395,7 @@ class FileStore(StoreAdapter):
         # the line was validated and checksummed when it was accepted;
         # what is left to check is that the entry frames that record
         if not (
-            line.startswith(b'<o c="')
-            and line.startswith(b'" id="%s">' % token.encode(), line.find(b'"', 6))
+            line_oid(line) == token
             and line.endswith(b"</o>\n")
             and line.find(b"\n") == length
         ):
@@ -399,6 +404,16 @@ class FileStore(StoreAdapter):
                 f"does not frame its record"
             )
         return line
+
+    def scan_lines(self) -> Iterator[bytes]:
+        """The framed log lines in byte-wise OID order, then a re-read of
+        the whole log: StoreError unless its CRC-32 is still the one kept
+        since open, so every line handed out is one that was validated when
+        it entered the log, unchanged since."""
+        yield from super().scan_lines()
+        self._flush_puts()
+        if self._log_crc() != self._crc:
+            raise StoreError(f"log at {self.directory} changed while the store was open")
 
     def commit(self) -> None:
         self._log.flush()
@@ -456,24 +471,23 @@ def _require_same_model(*models: ClassModel) -> None:
 
 
 class _Ingest:
-    """One streaming load into a store: validated records are stored as
-    their canonical lines as they arrive, and the destination rolls back
-    unless the closure check passes. Memory is one record in flight plus
-    the set of referenced OID tokens."""
+    """One streaming load into a store: canonical lines are stored as they
+    arrive, each with its OID token and reference target tokens, and the
+    destination rolls back unless the closure check passes. Memory is one
+    line in flight plus the set of referenced OID tokens."""
 
     def __init__(self, handle: StoreAdapter):
         self.handle = handle
-        self.layouts = handle._layouts
         self.token = handle.checkpoint()
         self.pending: set[str] = set()
         self.stored = 0
 
-    def accept(self, record: ObjectRecord, line: bytes) -> None:
-        """Store line, the canonical line of the validated record."""
-        self.handle._put_line(record.oid.token, line)
+    def accept(self, token: str, line: bytes, refs: Iterable[str]) -> None:
+        """Store line, the canonical line of record token, which refers to
+        the OID tokens refs; the duplicate-OID check is _put_line's."""
+        self.handle._put_line(token, line)
         self.stored += 1
-        for _, _, target in iter_refs(record, self.layouts):
-            self.pending.add(target.token)
+        self.pending.update(refs)
 
     def finish(self) -> int:
         missing = sorted(t for t in self.pending if not self.handle.contains(Oid(t)))
@@ -495,11 +509,15 @@ def import_document(data: bytes, model: ClassModel, handle: StoreAdapter) -> int
     failure aborts without commit and restores the pre-import state.
     """
     _require_same_model(model, handle.model)
+    layouts = handle._layouts
     ingest = _Ingest(handle)
+
+    def accept(record: ObjectRecord) -> None:
+        refs = [target.token for _, _, target in iter_refs(record, layouts)]
+        ingest.accept(record.oid.token, _encode_line(record, layouts), refs)
+
     try:
-        read_canonical(
-            data, model, lambda record: ingest.accept(record, _encode_line(record, ingest.layouts))
-        )
+        read_canonical(data, model, accept)
         return ingest.finish()
     except (TransodbError, OSError):
         ingest.abort()
@@ -511,7 +529,8 @@ def export_to(handle: StoreAdapter, model: ClassModel, out: BinaryIO) -> int:
 
     The body is the store's scan_lines copied as they are: every backend
     holds the canonical line of each record, checked when it was stored
-    (and, in a FileStore, again at open by the log CRC-32).
+    (and, in a FileStore, shown unchanged since by the log CRC-32, at open
+    and again at the end of scan_lines).
     """
     _require_same_model(model, handle.model)
     writer = CanonicalWriter(model, out)
@@ -535,15 +554,19 @@ def migrate(src: StoreAdapter, dst: StoreAdapter, model: ClassModel) -> int:
     """Move every record from src into dst, line by line.
 
     Equivalent to exporting src and importing the document into dst, but
-    with no intermediate document: each canonical line of src is decoded
-    once, for its OID and references, and copied into dst as it is. dst
-    is rolled back on any failure.
+    with no intermediate document and no decode: each canonical line of
+    src is copied into dst as it is, its OID and reference tokens read
+    from its bytes (``line_oid``, ``line_refs``). The lines were validated
+    when they entered src, and a FileStore src ends scan_lines with a log
+    CRC-32 check that they are unchanged since. The duplicate-OID and
+    closure checks run as for an import, and dst is rolled back on any
+    failure.
     """
     _require_same_model(model, src.model, dst.model)
     ingest = _Ingest(dst)
     try:
         for line in src.scan_lines():
-            ingest.accept(decode_record_line(line, dst.model, ingest.layouts), line)
+            ingest.accept(line_oid(line), line, line_refs(line))
         return ingest.finish()
     except (TransodbError, OSError):
         ingest.abort()

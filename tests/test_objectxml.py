@@ -23,7 +23,17 @@ from transodb import (
 )
 from transodb.conformance import fnv1a64_reference, random_graph, random_model
 from transodb.graph import records_equal
-from transodb.objectxml import fnv1a64, parse_record_line
+from transodb.bench import bench_model
+from transodb.model import LayoutIndex, ListOf
+from transodb.objectxml import (
+    decode_record_line,
+    fnv1a64,
+    format_record,
+    iter_refs,
+    line_oid,
+    line_refs,
+    parse_record_line,
+)
 
 from conftest import person, with_bad_tail
 
@@ -181,6 +191,50 @@ def test_round_trip_bytes_stable_randomized():
         got = []
         read_canonical(doc, model, got.append)
         assert write_canonical(got, model) == doc
+
+
+# text that holds what a loose OID or reference pattern would take for markup
+_DECOYS = ['x r="o1"/>', '"/>', ' id="p2">', "&quot;", "&gt;", '<friends r="r0"/>', ' r="r1"']
+
+
+def _with_decoys(record, layouts, i):
+    """record with every string value, scalar or list item, replaced by a decoy."""
+    values = dict(record.values)
+    for fdef in layouts.layout(record.class_name):
+        kind = fdef.kind.element if isinstance(fdef.kind, ListOf) else fdef.kind
+        if fdef.name not in values or getattr(kind, "kind", None) is not ScalarKind.STR:
+            continue
+        if isinstance(fdef.kind, ListOf):
+            values[fdef.name] = _DECOYS[: len(values[fdef.name])]
+        else:
+            values[fdef.name] = _DECOYS[i % len(_DECOYS)]
+    return ObjectRecord(record.class_name, record.oid, values)
+
+
+def test_line_tokens_match_the_decode():
+    """The OID and reference tokens read from a canonical line's bytes are
+    the decoded record's OID and its iter_refs targets, in order."""
+    decoyed = 0
+    for seed in range(60):
+        model = bench_model() if seed % 4 == 0 else random_model(seed)
+        layouts = LayoutIndex(model)
+        for i, record in enumerate(random_graph(model, seed, 30).records.values()):
+            line = (format_record(_with_decoys(record, layouts, i), layouts) + "\n").encode()
+            decoyed += b'x r="o1"/&gt;' in line
+            decoded = decode_record_line(line, model, layouts)
+            assert line_oid(line) == decoded.oid.token
+            assert line_refs(line) == [t.token for _, _, t in iter_refs(decoded, layouts)]
+    assert decoyed
+
+
+def test_line_tokens_ignore_decoy_text(family_model):
+    layouts = LayoutIndex(family_model)
+    for decoy in _DECOYS:
+        record = person("p1", name=decoy, spouse=Oid("s.1"), friends=[Oid("f-2"), Oid("p1")])
+        line = (format_record(record, layouts) + "\n").encode()
+        assert line_oid(line) == "p1"
+        assert line_refs(line) == ["s.1", "f-2", "p1"]
+    assert line_oid(b'<o id="p1" c="Person"></o>\n') is None
 
 
 def test_escaping_totality_for_nasty_text(person_model):

@@ -259,6 +259,33 @@ def test_same_length_invalid_edit_is_caught_with_index_in_place(family_model, tm
             export_store(reopened, family_model)
 
 
+@pytest.mark.parametrize(
+    "dst_kind", [None, "mem", "file"], ids=["export", "migrate-mem", "migrate-file"]
+)
+def test_same_length_valid_edit_in_session_is_caught(dst_kind, family_model, tmp_path):
+    # the edited line is still valid and canonical, so only the log CRC shows it
+    store = FileStore(tmp_path / "s", family_model)
+    doc = write_canonical([person("p1", age=93), person("p2")], family_model)
+    import_document(doc, family_model, store)
+    log = tmp_path / "s" / "objects.log"
+    log.write_bytes(log.read_bytes().replace(b"<age>93</age>", b"<age>94</age>"))
+
+    if dst_kind is None:
+        with pytest.raises(StoreError):
+            export_store(store, family_model)
+    else:
+        make, _ = make_factories(dst_kind, tmp_path, family_model)
+        dst = make()
+        dst.put(person("d1"))
+        dst.commit()
+        before = export_store(dst, family_model)
+        with pytest.raises(StoreError):
+            migrate(store, dst, family_model)
+        assert export_store(dst, family_model) == before
+        dst.close()
+    store.close()
+
+
 def test_non_canonical_log_line_is_corruption(family_model, tmp_path):
     log = _two_committed_people(tmp_path / "s", family_model)
     data = log.read_bytes()
@@ -443,6 +470,9 @@ def test_migrate_chain_mem_file_mem(tmp_path):
 def test_migrate_collision_leaves_destination_unchanged(kind, family_model, tmp_path):
     make, _ = make_factories(kind, tmp_path, family_model)
     src = make()
+    src.put(person("a1", friends=[Oid("shared")]))
+    src.commit()
+    # uncommitted puts: the colliding OID is reached only through a1's friends
     src.put(person("shared"))
     src.put(person("extra"))
     dst = FileStore(tmp_path / "dst", family_model)
@@ -466,14 +496,17 @@ def test_migrate_model_mismatch(person_model, family_model):
 def test_migrate_dangling_in_source_detected(kind, family_model, tmp_path):
     # a source populated by raw puts may be non-closed; migrate must catch it
     make, _ = make_factories(kind, tmp_path, family_model)
-    src = make()
-    src.put(person("o1", spouse=Oid("ghost")))
-    src.commit()
-    dst = MemStore(family_model)
-    with pytest.raises(DanglingRefError):
-        migrate(src, dst, family_model)
-    assert dst.count() == 0
-    src.close()
+    for dangling in ({"spouse": Oid("ghost")}, {"friends": [Oid("o1"), Oid("ghost")]}):
+        src = make()
+        src.put(person("o1", **dangling))
+        src.commit()
+        src.put(person("o2", friends=[Oid("o1")]))  # left uncommitted
+        dst = MemStore(family_model)
+        with pytest.raises(DanglingRefError) as exc:
+            migrate(src, dst, family_model)
+        assert exc.value.missing == ["ghost"]
+        assert dst.count() == 0
+        src.close()
 
 
 # -- streaming -----------------------------------------------------------------
