@@ -9,7 +9,18 @@ repeated type descriptors) and exists only as the size-comparison baseline.
 Because the form is canonical, a record line of a data document and a line
 of a FileStore log are the same bytes, so one decoder reads both:
 read_canonical runs it over a whole document, parse_record_line over one
-line.
+line. The decoder is lenient: it accepts any well-formed spelling of a
+valid record (character references, ``<f></f>``, ``1e0``, reordered
+attributes).
+
+Import and the FileStore index rebuild are strict instead: they take only
+the bytes CanonicalWriter writes. LineAcceptor checks a record line
+against one regex per class, compiled from the class layout on first use,
+plus the few checks a regex cannot make (int64 range, float repr, UTF-8
+and XML character ranges); accept_document walks a whole document with it
+and also checks the declaration, the root tag, OID order and the footer.
+Neither builds an ObjectRecord. Expat decodes a rejected line only to
+explain the rejection.
 
 Writers and readers keep no shared mutable state, so different documents
 may be processed concurrently; a single read_canonical call is
@@ -18,10 +29,11 @@ single-threaded.
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, BinaryIO
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 from xml.parsers import expat
 
 from .errors import EXPAT_FAILURES, TransodbError, describe_expat_failure
@@ -54,6 +66,7 @@ class DocumentError(TransodbError):
     """A data document could not be decoded; carries a 1-based position."""
 
     def __init__(self, message: str, line: int, column: int):
+        self.detail = message
         self.line = line
         self.column = column
         super().__init__(f"line {line}, column {column}: {message}")
@@ -222,6 +235,131 @@ def line_refs(line: bytes) -> list[str]:
     """The reference target tokens of a canonical record line, read from
     its bytes: the targets of iter_refs over its record, in order."""
     return [token.decode("ascii") for token in _LINE_REF_RE.findall(line)]
+
+
+# Leaf content as format_record writes it, in the per-class line patterns,
+# spelled short: compiling a pattern costs about its length, once per class
+# in each import and rebuild. Text is escape_text's output: no markup, no
+# raw newline or carriage return and no control character XML cannot carry
+# (a tab stays raw); an '&' must start one of the entities escape_text
+# writes, which _AMP_FAULT, one pattern for every class, checks.
+_TOKEN = rb"[\w.-]+"  # OID_RE: in a bytes pattern \w is [A-Za-z0-9_]
+_SCALAR_TEXT = {
+    ScalarKind.STR: b"[^\x00-\x08\n-\x1f<>]+",  # control bytes spelled raw: shorter to parse
+    ScalarKind.BOOL: rb"(?:true|false)",
+    ScalarKind.INT64: rb"(?:0|-?[1-9]\d*)",  # no -0; the range is checked after
+    # the repr test after the match decides; the shape only keeps out inf
+    # and nan, which pass it
+    ScalarKind.FLOAT64: rb"-?\d[\d.e+-]*",
+}
+_AMP_FAULT = re.compile(rb"&(?!(?:amp|lt|gt|#13|#10);)")
+_LINE_CLASS_RE = re.compile(rb'<o c="([A-Za-z_]\w*)" id="')
+
+
+class _ClassLine(NamedTuple):
+    """What LineAcceptor compiled for one class."""
+
+    name: str
+    line: re.Pattern  # the whole line, OID token in group 1
+    long_ints: re.Pattern | None  # int leaves of 19 digits or more
+    floats: re.Pattern | None  # float leaves
+    has_refs: bool
+
+
+class LineAcceptor:
+    """Accepts exactly the canonical record lines of a model's valid
+    records: a line is accepted iff it decodes and equals format_record of
+    its decode plus a newline. Nothing is compiled until a class is first
+    met; a class then costs one pattern of its layout (start tag, fields in
+    layout order with ``?`` for optional and ``*`` for list fields, exact
+    boolean, integer and reference leaves, ``</o>`` and the newline) and up
+    to two small ones for the checks a regex cannot make: int64 range, and
+    ``repr(float(t)) == t`` for each float. A line with non-ASCII bytes must
+    also decode as strict UTF-8 into characters XML can carry."""
+
+    def __init__(self, layouts: LayoutIndex):
+        self._layouts = layouts
+        self._classes: dict[bytes, _ClassLine | None] = {}
+
+    def accept(self, line: bytes) -> tuple[str, str, list[str]] | None:
+        """(class name, OID token, reference target tokens in iter_refs
+        order) of a canonical record line, or None if it is not one."""
+        head = _LINE_CLASS_RE.match(line)
+        if head is None:
+            return None
+        try:
+            compiled = self._classes[head[1]]
+        except KeyError:
+            compiled = self._classes[head[1]] = self._compile(head[1].decode("ascii"))
+        if compiled is None:
+            return None
+        class_name, line_re, long_ints, floats, has_refs = compiled
+        match = line_re.fullmatch(line)
+        if match is None or b"&" in line and _AMP_FAULT.search(line):
+            return None
+        if long_ints is not None:
+            if any(not INT64_MIN <= int(t) <= INT64_MAX for t in long_ints.findall(line)):
+                return None
+        if floats is not None:
+            try:
+                if any(repr(float(t)).encode("ascii") != t for t in floats.findall(line)):
+                    return None
+            except ValueError:  # the float shape lets through "1..2" and the like
+                return None
+        if not line.isascii():
+            # only string text can hold these bytes
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError:
+                return None
+            if _XML_UNREPRESENTABLE.search(text):
+                return None
+        return class_name, match[1].decode("ascii"), line_refs(line) if has_refs else []
+
+    def _compile(self, class_name: str) -> _ClassLine | None:
+        if class_name not in self._layouts.model.classes:
+            return None
+        layout = self._layouts.layout(class_name)
+        parts = [b'<o c="' + re.escape(class_name.encode()) + b'" id="(' + _TOKEN + b')">']
+        for fdef in layout:
+            leaf = _leaf_pattern(re.escape(fdef.name.encode()), _element_kind(fdef))
+            if isinstance(fdef.kind, ListOf):
+                parts.append(b"(?:" + leaf + b")*")
+            elif fdef.optional:
+                parts.append(b"(?:" + leaf + b")?")
+            else:
+                parts.append(leaf)
+        parts.append(b"</o>\n")
+        return _ClassLine(
+            class_name,
+            re.compile(b"".join(parts)),
+            _leaves_of(layout, ScalarKind.INT64, rb"-?\d{19,}"),
+            _leaves_of(layout, ScalarKind.FLOAT64, rb"[^<]*"),
+            any(isinstance(_element_kind(f), Ref) for f in layout),
+        )
+
+
+def _element_kind(fdef: FieldDef) -> Scalar | Ref:
+    return fdef.kind.element if isinstance(fdef.kind, ListOf) else fdef.kind
+
+
+def _leaf_pattern(name: bytes, kind: Scalar | Ref) -> bytes:
+    if isinstance(kind, Ref):
+        return b"<" + name + b' r="' + _TOKEN + b'"/>'
+    content = b">" + _SCALAR_TEXT[kind.kind] + b"</" + name + b">"
+    if kind.kind is ScalarKind.STR:  # <f/> for the empty string
+        return b"<" + name + b"(?:/>|" + content + b")"
+    return b"<" + name + content
+
+
+def _leaves_of(layout: list[FieldDef], kind: ScalarKind, text: bytes) -> re.Pattern | None:
+    """Captures the text of each leaf of the given kind that matches text,
+    in a line the class pattern accepted: text holds no '<', so there
+    '<f>' is always a tag."""
+    names = [re.escape(f.name.encode()) for f in layout if _element_kind(f) == Scalar(kind)]
+    if not names:
+        return None
+    return re.compile(b"<(?:" + b"|".join(names) + b")>(" + text + b")<")
 
 
 def format_record(record: ObjectRecord, layouts: LayoutIndex) -> str:
@@ -514,6 +652,87 @@ def decode_record_line(data: bytes, model: ClassModel, layouts: LayoutIndex) -> 
     records: list[ObjectRecord] = []
     _Decoder(model, layouts, records.append).decode(data)
     return records[0]
+
+
+_DECLARATION = b'<?xml version="1.0" encoding="UTF-8"?>\n'
+_FOOTER = b"</objects>\n"
+# the root start tag as CanonicalWriter.begin writes it: the schema name is
+# any escape_attr output, the hash 16 lowercase hex digits
+_ATTR_TEXT = rb'[^\x00-\x1f<>&"]*(?:&(?:amp|lt|gt|quot|#9|#13|#10);[^\x00-\x1f<>&"]*)*'
+_ROOT_RE = re.compile(rb'<objects schema="' + _ATTR_TEXT + rb'" schemaHash="([0-9a-f]{16})">\n')
+
+
+def accept_document(
+    data: bytes, model: ClassModel, layouts: LayoutIndex
+) -> Iterator[tuple[str, bytes, list[str]]]:
+    """Walk a document line by line and yield (OID token, line, reference
+    target tokens) for each record line, if the document is byte for byte
+    what CanonicalWriter writes: the exact XML declaration, the root start
+    tag with the model's schema hash, record lines LineAcceptor accepts with
+    OIDs strictly rising byte-wise, and the exact footer with nothing after
+    it. Otherwise a DocumentError names the first offending line, once the
+    lines before it have been yielded."""
+    lines = io.BytesIO(data)
+    if lines.readline() != _DECLARATION:
+        raise DocumentError(f"not canonical: line 1 must be {_DECLARATION.decode()[:-1]}", 1, 1)
+    _check_root(lines.readline(), model)
+    acceptor = LineAcceptor(layouts)
+    lineno = 2
+    last = ""
+    for line in lines:
+        lineno += 1
+        accepted = acceptor.accept(line)
+        if accepted is None:
+            if line != _FOOTER:
+                raise _rejection(line, lineno, model, layouts)
+            if lines.read(1):
+                raise DocumentError("not canonical: bytes after </objects>", lineno + 1, 1)
+            return
+        _, token, refs = accepted
+        # ASCII tokens: str order is byte-wise order
+        if token <= last:
+            problem = "duplicate OID" if token == last else "records out of OID order at"
+            raise DocumentError(f"{problem} {token!r}", lineno, 1)
+        last = token
+        yield token, line, refs
+    raise DocumentError("document ends before </objects>", lineno + 1, 1)
+
+
+def _check_root(line: bytes, model: ClassModel) -> None:
+    """Line 2 must be CanonicalWriter.begin's root start tag for model."""
+    expected = schema_hash(model)
+    root = _ROOT_RE.fullmatch(line)
+    if root is None:
+        # the lenient reader explains what is wrong, if anything but form
+        try:
+            read_canonical(_DECLARATION + line + _FOOTER, model, lambda record: None)
+        except DocumentError as exc:
+            raise type(exc)(exc.detail, 2, exc.column) from None
+        raise DocumentError("not canonical: the <objects> start tag", 2, 1)
+    try:
+        name = line.decode("utf-8")
+    except UnicodeDecodeError:
+        raise DocumentError("schema name is not UTF-8", 2, 1) from None
+    if _XML_UNREPRESENTABLE.search(name):
+        raise DocumentError("schema name holds characters XML cannot carry", 2, 1)
+    if root[1].decode("ascii") != expected:
+        raise HeaderMismatchError(
+            f"document schemaHash {root[1].decode('ascii')!r} does not match "
+            f"model hash {expected!r}",
+            2,
+            1,
+        )
+
+
+def _rejection(line: bytes, lineno: int, model: ClassModel, layouts: LayoutIndex) -> DocumentError:
+    """Why line lineno, which LineAcceptor rejected, is not a canonical
+    record line: the decoder's error re-based to lineno, or, for a line that
+    decodes, "not canonical"."""
+    try:
+        decode_record_line(line, model, layouts)
+    except DocumentError as exc:
+        return type(exc)(exc.detail, lineno, exc.column)
+    return DocumentError("not canonical: a valid record, but not its canonical line", lineno, 1)
 
 
 VERBOSE_FILE_NAMES = ("schema.dtd", "schema.xml", "data.dtd", "data.xml")

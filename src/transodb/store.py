@@ -8,9 +8,11 @@ overwrite), get and scan (decode), contains, count, and scan_lines in
 byte-wise OID order. A backend supplies only line storage: append a line,
 read one back, commit, checkpoint/rollback (so imports stay atomic on any
 backend) and close. MemStore is a plain in-process map of lines;
-FileStore pairs an append-only record log with an offset index that
-carries a CRC-32 of the log and is rebuilt from the log whenever it is
-missing or stale.
+FileStore pairs an append-only record log with an offset index that marks
+the last commit with a CRC-32 of the log up to it; open truncates the log
+to that commit, and rebuilds the index from the whole log when it is
+missing or does not match. import_document takes only canonical documents
+and stores their lines as they are.
 
 One handle tolerates a single writing thread or any number of reading
 threads; concurrent writers to one FileStore directory are rejected via
@@ -33,14 +35,14 @@ from .model import ClassModel, LayoutIndex, dump_model
 from .objectxml import (
     CanonicalWriter,
     DocumentError,
+    LineAcceptor,
     ObjectRecord,
     Oid,
+    accept_document,
     decode_record_line,
     format_record,
-    iter_refs,
     line_oid,
     line_refs,
-    read_canonical,
     schema_hash,
     validate_record,
 )
@@ -183,11 +185,14 @@ class FileStore(StoreAdapter):
     ``#`` plus the CRC-32 of the whole log as 8 lowercase hex digits, then
     holds ``OID<TAB>offset<TAB>length`` per record, sorted by OID.
 
-    Open accepts the index only if its header parses, its lengths cover the
-    log and the CRC-32 of the log equals the header; otherwise it rebuilds
-    the index from the log. The rebuild decodes and validates every line
-    and rejects as corruption any line that is not the canonical form of
-    its own record. So every line an accepted index points at is a
+    The index marks the last commit: its lengths sum to the log length
+    then, and its header is the CRC-32 of those bytes. Open accepts the
+    index only if its header parses, its lengths cover at most the log and
+    the CRC-32 of that many leading log bytes equals the header; it then
+    truncates the log to that length, dropping what was never committed.
+    Otherwise it rebuilds the index from the whole log with LineAcceptor,
+    which rejects as corruption any line that is not the canonical line of
+    a valid record. So every line an accepted index points at is a
     validated canonical line; ``_line`` hands one out only after checking
     that it frames the record its index key names, and ``scan_lines`` ends
     by checking the CRC-32 of the log again, so an edit to the log while
@@ -301,18 +306,25 @@ class FileStore(StoreAdapter):
         except (FileNotFoundError, ValueError):
             pass
         else:
-            covered = sum(length + 1 for _, length in entries.values())
-            if covered == self._log_len and self._log_crc() == crc:
+            committed = sum(length + 1 for _, length in entries.values())
+            if committed <= self._log_len and self._log_crc(committed) == crc:
+                # what lies past the last commit was never committed
+                if committed < self._log_len:
+                    self._log.truncate(committed)
+                    self._log_len = committed
                 self._entries = entries
                 self._crc = crc
                 return
         self._rebuild_index()
         self._write_index()
 
-    def _log_crc(self) -> int:
-        """CRC-32 of the whole log, read in fixed chunks."""
+    def _log_crc(self, end: int | None = None) -> int:
+        """CRC-32 of the log's first end bytes (of all of it by default),
+        read in fixed chunks."""
         crc = offset = 0
-        while chunk := os.pread(self._reader.fileno(), _CRC_CHUNK, offset):
+        while chunk := os.pread(
+            self._reader.fileno(), _CRC_CHUNK if end is None else min(_CRC_CHUNK, end - offset), offset
+        ):
             crc = zlib.crc32(chunk, crc)
             offset += len(chunk)
         return crc
@@ -320,31 +332,38 @@ class FileStore(StoreAdapter):
     def _rebuild_index(self) -> None:
         """Recover the index and the log CRC by scanning the record log.
 
-        A final line without a newline is a torn append from a crash; it is
-        dropped and the log truncated. Damage anywhere else, including a
-        line that decodes but is not its record's canonical form, is
-        corruption and raises."""
+        Every line must be accepted by LineAcceptor, that is, be the
+        canonical line of a valid record; no line is decoded unless it is
+        rejected. A final line without a newline is a torn append from a
+        crash: if it is complete once the newline is added, the newline is
+        written, and if it does not even decode, it is dropped and the log
+        truncated. Any other rejected line, including one that decodes but
+        is not its record's canonical form, is corruption and raises. The
+        log carries no commit marks, so every line it holds is taken, those
+        past the last commit included."""
         self._entries = {}
+        acceptor = LineAcceptor(self._layouts)
         crc = offset = 0
         self._reader.seek(0)
         for raw in self._reader:
             complete = raw.endswith(b"\n")
-            try:
-                record = decode_record_line(raw, self.model, self._layouts)
-            except DocumentError:
-                if not complete:
-                    self._log.flush()
-                    self._log.truncate(offset)
-                    break
-                raise StoreError(
-                    f"log at {self.directory} is corrupt at byte {offset}"
-                ) from None
             line = raw if complete else raw + b"\n"
-            if line != _encode_line(record, self._layouts):
+            accepted = acceptor.accept(line)
+            if accepted is None:
+                try:
+                    decode_record_line(line, self.model, self._layouts)
+                except DocumentError:
+                    if not complete:
+                        self._log.flush()
+                        self._log.truncate(offset)
+                        break
+                    raise StoreError(
+                        f"log at {self.directory} is corrupt at byte {offset}"
+                    ) from None
                 raise StoreError(
                     f"log at {self.directory} holds a non-canonical record at byte {offset}"
                 )
-            token = record.oid.token
+            token = accepted[1]
             if token in self._entries:
                 raise StoreError(f"log at {self.directory} holds duplicate OID {token!r}")
             self._entries[token] = (offset, len(line) - 1)
@@ -503,21 +522,19 @@ class _Ingest:
 def import_document(data: bytes, model: ClassModel, handle: StoreAdapter) -> int:
     """Load a canonical document into an open store.
 
-    Single pass: each decoded record, validated by the reader, is
-    formatted once and its line stored immediately; referenced OIDs
-    accumulate in a pending set checked against the store afterwards. Any
-    failure aborts without commit and restores the pre-import state.
+    Import is strict: the document must be byte for byte what
+    CanonicalWriter writes (``accept_document``), so its export gives the
+    same bytes back. Single pass: each record line is checked by the
+    schema-compiled LineAcceptor and stored as it is, with no decode and no
+    re-formatting; referenced OIDs accumulate in a pending set checked
+    against the store afterwards. Any failure aborts without commit and
+    restores the pre-import state; a DocumentError names the document line.
     """
     _require_same_model(model, handle.model)
-    layouts = handle._layouts
     ingest = _Ingest(handle)
-
-    def accept(record: ObjectRecord) -> None:
-        refs = [target.token for _, _, target in iter_refs(record, layouts)]
-        ingest.accept(record.oid.token, _encode_line(record, layouts), refs)
-
     try:
-        read_canonical(data, model, accept)
+        for token, line, refs in accept_document(data, model, handle._layouts):
+            ingest.accept(token, line, refs)
         return ingest.finish()
     except (TransodbError, OSError):
         ingest.abort()

@@ -181,6 +181,17 @@ def test_import_failure_removes_created_directory(person_xsd, tmp_path):
     assert not target.exists()
 
 
+def test_import_of_a_non_canonical_document_names_its_line(person_xsd, tmp_path, capsys):
+    model, _ = _model_of(person_xsd)
+    canonical = write_canonical([person("o1"), person("o2", name="x")], model)
+    doc = tmp_path / "loose.odbx"
+    doc.write_bytes(canonical.replace(b"<name>x<", b"<name>&#120;<"))  # decodes to the same record
+    target = tmp_path / "newstore"
+    assert main(["import", "--schema", str(person_xsd), "--in", str(doc), "--store", str(target)]) == 1
+    assert "error: line 4, column 1: not canonical" in capsys.readouterr().err
+    assert not target.exists()
+
+
 def test_import_missing_input_is_io_error(person_xsd, tmp_path):
     assert main(["import", "--schema", str(person_xsd), "--in", str(tmp_path / "none.odbx"), "--store", str(tmp_path / "s")]) == 2
 

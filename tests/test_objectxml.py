@@ -1,5 +1,6 @@
 """Canonical document writer/reader, schema hash, and the verbose baseline."""
 
+import random
 import struct
 
 import pytest
@@ -26,6 +27,7 @@ from transodb.graph import records_equal
 from transodb.bench import bench_model
 from transodb.model import LayoutIndex, ListOf
 from transodb.objectxml import (
+    LineAcceptor,
     decode_record_line,
     fnv1a64,
     format_record,
@@ -235,6 +237,125 @@ def test_line_tokens_ignore_decoy_text(family_model):
         assert line_oid(line) == "p1"
         assert line_refs(line) == ["s.1", "f-2", "p1"]
     assert line_oid(b'<o id="p1" c="Person"></o>\n') is None
+
+
+# -- the canonical-line acceptor against the decoder --------------------------
+
+
+def _canonical_decode(line, model, layouts):
+    """The oracle: the decode of line, if line is format_record of it plus
+    a newline; else None."""
+    try:
+        record = decode_record_line(line, model, layouts)
+    except DocumentError:
+        return None
+    return record if (format_record(record, layouts) + "\n").encode() == line else None
+
+
+def _agrees(acceptor, line, model, layouts) -> bool:
+    """Assert the acceptor and the oracle agree on line; return the verdict."""
+    want = _canonical_decode(line, model, layouts)
+    got = acceptor.accept(line)
+    assert (got is None) == (want is None), line
+    if want is not None:
+        refs = [t.token for _, _, t in iter_refs(want, layouts)]
+        assert got == (want.class_name, want.oid.token, refs), line
+        assert got[2] == line_refs(line)
+    return got is not None
+
+
+# bytes that a mutant inserts, besides random ones
+_SPLICES = [b"<", b">", b"&", b"\n", b"\r", b"\t", b"\x00", b"\x1f", b"\x80", b'"', b"'", b" ",
+            b"-", b"0", b"9", b"e", b".", b"&amp;", b"&#65;", b"</o>", b"\xef\xbf\xbe",
+            b"\xed\xa0\x80"]
+
+
+def _mutant(rng, line: bytes) -> bytes:
+    """line after 1-3 random byte flips, inserts, deletes or swaps."""
+    data = bytearray(line)
+    for _ in range(rng.randint(1, 3)):
+        op, pos = rng.randrange(4), rng.randrange(len(data) + 1)
+        if op == 0 and pos < len(data):
+            data[pos] = rng.randrange(256) if rng.random() < 0.5 else rng.choice(b'0123456789-.e<>&/"= ')
+        elif op == 1:
+            data[pos:pos] = rng.choice(_SPLICES) if rng.random() < 0.7 else bytes([rng.randrange(256)])
+        elif op == 2:
+            del data[pos : pos + rng.randint(1, 4)]
+        elif op == 3 and pos < len(data) - 1:
+            data[pos], data[pos + 1] = data[pos + 1], data[pos]
+    return bytes(data)
+
+
+def test_line_acceptor_agrees_with_the_decoder():
+    """LineAcceptor accepts exactly the lines that decode and are
+    format_record of their decode plus a newline, with the decode's class,
+    OID and reference tokens: over random_graph lines, with and without
+    decoy strings, and seeded mutants of them."""
+    rng = random.Random(2004)
+    inputs = accepted = 0
+    for seed in range(40):
+        model = bench_model() if seed % 4 == 0 else random_model(seed)
+        layouts = LayoutIndex(model)
+        acceptor = LineAcceptor(layouts)
+        for i, record in enumerate(random_graph(model, seed, 20).records.values()):
+            for variant in (record, _with_decoys(record, layouts, i)):
+                line = (format_record(variant, layouts) + "\n").encode()
+                assert _agrees(acceptor, line, model, layouts)
+                for _ in range(7):
+                    accepted += _agrees(acceptor, _mutant(rng, line), model, layouts)
+                    inputs += 1
+    assert inputs >= 10_000
+    assert accepted  # some mutants are canonical lines of other records
+
+
+@pytest.mark.parametrize(
+    "leaves, canonical",
+    [
+        ("<name>A</name><age>1</age><salary>1.0</salary>", True),
+        ("<name>A</name><age>1</age><salary>inf</salary>", False),
+        ("<name>A</name><age>1</age><salary>nan</salary>", False),
+        ("<name>A</name><age>1</age><salary>-inf</salary>", False),
+        ("<name>A</name><age>1</age><salary>1e999</salary>", False),
+        ("<name>A</name><age>1</age><salary>1e0</salary>", False),
+        ("<name>A</name><age>1</age><salary>1.0e+16</salary>", False),
+        ("<name>A</name><age>1</age><salary>1e+16</salary>", True),
+        ("<name>A</name><age>1</age><salary>-0.0</salary>", True),
+        ("<name>A</name><age>-0</age>", False),
+        ("<name>A</name><age>007</age>", False),
+        ("<name>A</name><age>9223372036854775807</age>", True),
+        ("<name>A</name><age>9223372036854775808</age>", False),
+        ("<name>A</name><age>-9223372036854775808</age>", True),
+        ("<name>A</name><age>-9223372036854775809</age>", False),
+        ("<name>A</name><age>99999999999999999999</age>", False),
+        ("<name>x\ufffey</name><age>1</age>", False),
+        ("<name>x\uffffy</name><age>1</age>", False),
+        ("<name>café \U0001d11e</name><age>1</age>", True),
+        ("<name>tab\tok</name><age>1</age>", True),
+        ("<name>&amp;&lt;&gt;&#13;&#10;</name><age>1</age>", True),
+        ("<name>&#120;</name><age>1</age>", False),
+        ("<name>&quot;</name><age>1</age>", False),
+        ("<name>&#9;</name><age>1</age>", False),
+        ("<name></name><age>1</age>", False),
+        ("<name/><age>1</age>", True),
+        ("<age>1</age><name>A</name>", False),
+    ],
+)
+def test_line_acceptor_edge_cases(family_model, leaves, canonical):
+    layouts = LayoutIndex(family_model)
+    line = f'<o c="Employee" id="e1">{leaves}</o>\n'.encode()
+    assert _agrees(LineAcceptor(layouts), line, family_model, layouts) is canonical
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"\xed\xa0\x80", b"\xed\xbf\xbf", b"\xff", b"\xc3", b"\xc0\xaf", b"\xf4\x90\x80\x80",
+     b"\x00", b"\x07", b"\x0b", b"\x1f", b"\r", b"\n"],
+    ids=lambda raw: raw.hex(),
+)
+def test_line_acceptor_rejects_bytes_xml_cannot_carry(family_model, raw):
+    layouts = LayoutIndex(family_model)
+    line = b'<o c="Person" id="p1"><name>a' + raw + b"b</name><age>1</age></o>\n"
+    assert not _agrees(LineAcceptor(layouts), line, family_model, layouts)
 
 
 def test_escaping_totality_for_nasty_text(person_model):

@@ -11,10 +11,12 @@ import pytest
 import transodb
 from transodb import (
     DanglingRefError,
+    DocumentError,
     DuplicateOidError,
     FileStore,
     MemStore,
     ModelMismatchError,
+    ObjectRecord,
     Oid,
     StoreError,
     StoreLockedError,
@@ -23,6 +25,7 @@ from transodb import (
     export_store,
     import_document,
     migrate,
+    read_canonical,
     schema_hash,
     synthesize_graph,
     write_canonical,
@@ -140,12 +143,15 @@ def test_index_rebuild_after_staleness(family_model, tmp_path):
     store = FileStore(tmp_path / "s", family_model)
     store.put(person("p1"))
     store.commit()
+    committed_log = (tmp_path / "s" / "objects.log").read_bytes()
     store.put(person("p2"))  # in the log, not in the committed index
     store.close()
 
+    # the store reopens at its last commit: the uncommitted tail is dropped
     reopened = FileStore(tmp_path / "s", family_model)
-    assert reopened.count() == 2
-    assert reopened.get(Oid("p2")) is not None
+    assert reopened.count() == 1
+    assert reopened.get(Oid("p2")) is None
+    assert (tmp_path / "s" / "objects.log").read_bytes() == committed_log
     reopened.close()
 
 
@@ -220,6 +226,18 @@ def test_mid_log_corruption_raises(family_model, tmp_path):
     assert str(log.resolve()) not in _open_paths()  # log handles closed too
 
 
+def _run_child(code: str, *args: str) -> int:
+    """Exit status of a Python child running code with this transodb."""
+    src = str(Path(transodb.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    return result.returncode
+
+
 def test_killed_writer_leaves_store_openable(tmp_path):
     child = (
         "import os, sys\n"
@@ -228,16 +246,47 @@ def test_killed_writer_leaves_store_openable(tmp_path):
         "FileStore(sys.argv[1], bench_model())\n"
         "os._exit(1)\n"
     )
-    src = str(Path(transodb.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-c", child, str(tmp_path / "s")],
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=120,
-    )
-    assert result.returncode == 1
+    assert _run_child(child, str(tmp_path / "s")) == 1
     assert (tmp_path / "s" / "LOCK").exists()  # the dead writer never released it
     FileStore(tmp_path / "s", bench_model()).close()
+
+
+def test_killed_import_reopens_at_the_last_commit(tmp_path):
+    """A process that dies in the middle of an import, its stored lines
+    flushed to the log but not committed, leaves a store that reopens with
+    exactly its last committed content."""
+    model = bench_model()
+    committed = [person(f"keep{i}") for i in range(3)]
+    with FileStore(tmp_path / "s", model) as store:
+        import_document(write_canonical(committed, model), model, store)
+    log = tmp_path / "s" / "objects.log"
+    committed_log = log.read_bytes()
+    doc = tmp_path / "doc.odbx"
+    doc.write_bytes(write_canonical(synthesize_graph(model, 3, 500).records.values(), model))
+    child = (
+        "import os, sys\n"
+        "from pathlib import Path\n"
+        "from transodb import FileStore, import_document\n"
+        "from transodb.bench import bench_model\n"
+        "class DiesAfter300(FileStore):\n"
+        "    puts = 0\n"
+        "    def _put_line(self, token, line):\n"
+        "        super()._put_line(token, line)\n"
+        "        self.puts += 1\n"
+        "        if self.puts == 300:\n"
+        "            self._log.flush()\n"
+        "            os._exit(3)\n"
+        "model = bench_model()\n"
+        "import_document(Path(sys.argv[2]).read_bytes(), model, DiesAfter300(sys.argv[1], model))\n"
+    )
+    assert _run_child(child, str(tmp_path / "s"), str(doc)) == 3
+    assert log.read_bytes().startswith(committed_log)
+    assert log.stat().st_size > len(committed_log)  # the 300 lines reached the log
+
+    with FileStore(tmp_path / "s", model) as reopened:
+        assert reopened.count() == 3
+        assert export_store(reopened, model) == write_canonical(committed, model)
+    assert log.read_bytes() == committed_log
 
 
 def _two_committed_people(directory, model, **p1):
@@ -392,6 +441,60 @@ def test_import_dangling_rolls_back(kind, family_model, tmp_path):
         import_document(bad, family_model, store)
     assert store.count() == 2
     assert store.get(Oid("a1")) is None
+    assert export_store(store, family_model) == before
+    store.close()
+
+
+def _edit(index: int, old: bytes, new: bytes):
+    """A change of a document's line list: old replaced by new in line index."""
+    return lambda d: d[:index] + [d[index].replace(old, new)] + d[index + 1 :]
+
+
+# Canonical document lines 1-6 (indexes 0-5): declaration, root, a1, a2
+# (empty name), e3 (salary 1.0), footer. Each variant makes one line
+# non-canonical; the number is that line.
+_STRICT_VARIANTS = {
+    "oids-out-of-order": (lambda d: d[:2] + [d[3], d[2]] + d[4:], 4),
+    "blank-line": (lambda d: d[:3] + [b"\n"] + d[3:], 4),
+    "no-xml-declaration": (lambda d: d[1:], 1),
+    "single-quoted-attributes": (_edit(3, b'c="Person" id="a2"', b"c='Person' id='a2'"), 4),
+    "character-reference": (_edit(2, b"<name>x<", b"<name>&#120;<"), 3),
+    "id-before-c": (_edit(3, b'c="Person" id="a2"', b'id="a2" c="Person"'), 4),
+    "open-close-empty": (_edit(3, b"<name/>", b"<name></name>"), 4),
+    "float-1e0": (_edit(4, b"<salary>1.0<", b"<salary>1e0<"), 5),
+    "fields-out-of-order": (_edit(2, b"<name>x</name><age>30</age>", b"<age>30</age><name>x</name>"), 3),
+    "bytes-after-footer": (lambda d: d + [b"\n"], 7),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_STRICT_VARIANTS))
+@pytest.mark.parametrize("kind", ["mem", "file"])
+def test_import_rejects_non_canonical_documents(kind, variant, family_model, tmp_path):
+    """Import takes only the bytes CanonicalWriter writes. Each variant is
+    one the lenient reader accepts; import rejects it naming its line, and
+    the store stays at its last committed export."""
+    records = [
+        person("a1", name="x"),
+        person("a2", name=""),
+        ObjectRecord("Employee", Oid("e3"), {"name": "E", "age": 40, "salary": 1.0}),
+    ]
+    lines = write_canonical(records, family_model).splitlines(keepends=True)
+    change, line = _STRICT_VARIANTS[variant]
+    changed = change(lines)
+    assert changed != lines
+    doc = b"".join(changed)
+    read_canonical(doc, family_model, lambda record: None)
+
+    make, reopen = make_factories(kind, tmp_path, family_model)
+    store = make()
+    import_document(write_canonical([person("p5"), person("p6")], family_model), family_model, store)
+    before = export_store(store, family_model)
+    with pytest.raises(DocumentError) as failed:
+        import_document(doc, family_model, store)
+    assert failed.value.line == line
+    assert str(failed.value).startswith(f"line {line}, ")
+    assert export_store(store, family_model) == before
+    store = reopen(store)
     assert export_store(store, family_model) == before
     store.close()
 
