@@ -8,11 +8,10 @@ overwrite), get and scan (decode), contains, count, and scan_lines in
 byte-wise OID order. A backend supplies only line storage: append a line,
 read one back, commit, checkpoint/rollback (so imports stay atomic on any
 backend) and close. MemStore is a plain in-process map of lines;
-FileStore pairs an append-only record log with an offset index that marks
-the last commit with a CRC-32 of the log up to it; open truncates the log
-to that commit, and rebuilds the index from the whole log when it is
-missing or does not match. import_document takes only canonical documents
-and stores their lines as they are.
+FileStore is an append-only record log plus a one-line commit record;
+open reads the committed prefix once for its OIDs and CRC-32, and rebuilds
+from the whole log when the record does not match. import_document takes
+only canonical documents and stores their lines as they are.
 
 One handle tolerates a single writing thread or any number of reading
 threads; concurrent writers to one FileStore directory are rejected via
@@ -28,7 +27,7 @@ import re
 import zlib
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .errors import ModelMismatchError, TransodbError
 from .model import ClassModel, LayoutIndex, dump_model
@@ -48,7 +47,7 @@ from .objectxml import (
 )
 from .xsd import emit_schema, parse_schema
 
-_CRC_CHUNK = 64 * 1024  # bytes per read while checking the log CRC
+_CRC_CHUNK = 64 * 1024  # bytes per read of the log, at open and in its CRC check
 
 
 class StoreError(TransodbError):
@@ -180,27 +179,27 @@ class FileStore(StoreAdapter):
     """Directory-backed store.
 
     Layout: ``schema.xsd`` (the bound model), ``objects.log`` (one canonical
-    record line per put, append-only, insertion order), ``index.idx``
-    (rewritten at commit) and ``LOCK``. The index starts with a header line
-    ``#`` plus the CRC-32 of the whole log as 8 lowercase hex digits, then
-    holds ``OID<TAB>offset<TAB>length`` per record, sorted by OID.
+    record line per put, append-only, insertion order), ``index.idx`` (the
+    commit record) and ``LOCK``. The commit record is one line: ``#``, the
+    CRC-32 of the committed log prefix as 8 lowercase hex digits, a space
+    and the length of that prefix. Commit fsyncs the log, then writes the
+    record to ``index.idx.tmp``, fsyncs it, renames it over ``index.idx``
+    and fsyncs the directory; the rename is the commit point.
 
-    The index marks the last commit: its lengths sum to the log length
-    then, and its header is the CRC-32 of those bytes. Open accepts the
-    index only if its header parses, its lengths cover at most the log and
-    the CRC-32 of that many leading log bytes equals the header; it then
-    truncates the log to that length, dropping what was never committed.
-    Otherwise it rebuilds the index from the whole log with LineAcceptor,
+    Open trusts the record if it parses, names at most the whole log, and
+    one pass over that prefix frames every line and gives the record's
+    CRC-32; the log is then truncated to the prefix, dropping what was
+    never committed. Otherwise the whole log is rebuilt with LineAcceptor,
     which rejects as corruption any line that is not the canonical line of
-    a valid record. So every line an accepted index points at is a
+    a valid record, and committed. So every line an entry points at is a
     validated canonical line; ``_line`` hands one out only after checking
-    that it frames the record its index key names, and ``scan_lines`` ends
-    by checking the CRC-32 of the log again, so an edit to the log while
-    the store is open fails an export or a migrate instead of being copied.
+    that it frames the record its key names, and ``scan_lines`` ends by
+    checking the CRC-32 of the log again, so an edit to the log while the
+    store is open fails an export or a migrate instead of being copied.
 
     Checkpoint is the log length and CRC; as the log is append-only,
-    rollback truncates the log there and drops the index entries at or past
-    that length.
+    rollback truncates the log there and drops the entries at or past that
+    length.
 
     An open store holds an exclusive flock on ``LOCK``, which rejects
     concurrent opens of one directory; the kernel drops it when the
@@ -276,15 +275,14 @@ class FileStore(StoreAdapter):
                     f"store at {self.directory} is bound to a different schema"
                 )
         elif create:
-            schema_path.write_text(emit_schema(self.model), encoding="utf-8")
+            _write_synced(schema_path, emit_schema(self.model).encode("utf-8"))
         else:
             raise FileNotFoundError(f"{schema_path} is missing")
 
         log_path = self.directory / self.LOG_FILE
         self._log = open(log_path, "ab")
         self._reader = open(log_path, "rb")
-        self._log_len = self._log.tell()
-        self._load_index()
+        self._load_index(self._log.tell())
 
     def close(self) -> None:
         if self._log is not None:
@@ -296,41 +294,66 @@ class FileStore(StoreAdapter):
             self._reader = None
         self._release_lock()
 
-    # -- index maintenance -------------------------------------------------
+    # -- commit record -----------------------------------------------------
 
-    def _load_index(self) -> None:
+    def _load_index(self, size: int) -> None:
+        """Set the entries and the log CRC from the log, size bytes, as the
+        class docstring says. A new store has no commit record, so its
+        rebuild commits once the directory holds all three files."""
         try:
-            crc, entries = _parse_index(
-                (self.directory / self.INDEX_FILE).read_text(encoding="utf-8")
-            )
-        except (FileNotFoundError, ValueError):
-            pass
-        else:
-            committed = sum(length + 1 for _, length in entries.values())
-            if committed <= self._log_len and self._log_crc(committed) == crc:
-                # what lies past the last commit was never committed
-                if committed < self._log_len:
-                    self._log.truncate(committed)
-                    self._log_len = committed
-                self._entries = entries
-                self._crc = crc
+            record = _COMMIT_RECORD.fullmatch((self.directory / self.INDEX_FILE).read_bytes())
+        except FileNotFoundError:
+            record = None
+        if record and int(record[2]) <= size and self._read_log(int(record[2]), _framed_oid):
+            if self._crc == int(record[1], 16):
+                if self._log_len < size:  # drop what was never committed
+                    self._log.truncate(self._log_len)
                 return
-        self._rebuild_index()
-        self._write_index()
+        self._rebuild_index(size)
+        self.commit()
 
-    def _log_crc(self, end: int | None = None) -> int:
-        """CRC-32 of the log's first end bytes (of all of it by default),
-        read in fixed chunks."""
+    def _read_log(self, end: int, check: Callable[[bytes, bool, int], str | None]) -> bool:
+        """Whether check(line, complete, offset) gave an OID token for every
+        line of the log's first end bytes, each read without its newline;
+        complete is false for a last line cut short, and a repeated token
+        raises. On success, or a stop at a cut line, _entries, _log_len and
+        _crc describe the lines taken."""
+        self._entries = entries = {}
+        offset = crc = 0
+        fd, tail = self._reader.fileno(), b""
+        while chunk := os.pread(fd, min(_CRC_CHUNK, end - offset - len(tail)), offset + len(tail)):
+            buf = tail + chunk
+            *lines, tail = buf.split(b"\n")
+            for line in lines:
+                token = check(line, True, offset)
+                if token is None:
+                    return False
+                if token in entries:
+                    raise StoreError(f"log at {self.directory} holds duplicate OID {token!r}")
+                entries[token] = (offset, len(line))
+                offset += len(line) + 1
+            crc = zlib.crc32(memoryview(buf)[: len(buf) - len(tail)], crc)
+        self._log_len, self._crc = offset, crc
+        if tail:
+            token = check(tail, False, offset)
+            if token is None:
+                return False
+            if token in entries:
+                raise StoreError(f"log at {self.directory} holds duplicate OID {token!r}")
+            entries[token] = (offset, len(tail))
+            self._log_len, self._crc = offset + len(tail) + 1, zlib.crc32(tail + b"\n", crc)
+        return True
+
+    def _log_crc(self) -> int:
+        """CRC-32 of the whole log, read in fixed chunks."""
         crc = offset = 0
-        while chunk := os.pread(
-            self._reader.fileno(), _CRC_CHUNK if end is None else min(_CRC_CHUNK, end - offset), offset
-        ):
+        while chunk := os.pread(self._reader.fileno(), _CRC_CHUNK, offset):
             crc = zlib.crc32(chunk, crc)
             offset += len(chunk)
         return crc
 
-    def _rebuild_index(self) -> None:
-        """Recover the index and the log CRC by scanning the record log.
+    def _rebuild_index(self, size: int) -> None:
+        """Recover the entries and the log CRC from the whole log, size bytes.
 
         Every line must be accepted by LineAcceptor, that is, be the
         canonical line of a valid record; no line is decoded unless it is
@@ -341,50 +364,31 @@ class FileStore(StoreAdapter):
         is not its record's canonical form, is corruption and raises. The
         log carries no commit marks, so every line it holds is taken, those
         past the last commit included."""
-        self._entries = {}
         acceptor = LineAcceptor(self._layouts)
-        crc = offset = 0
-        self._reader.seek(0)
-        for raw in self._reader:
-            complete = raw.endswith(b"\n")
-            line = raw if complete else raw + b"\n"
-            accepted = acceptor.accept(line)
-            if accepted is None:
+
+        def accepted(line: bytes, complete: bool, offset: int) -> str | None:
+            found = acceptor.accept(line + b"\n")
+            if found is None:
                 try:
                     decode_record_line(line, self.model, self._layouts)
                 except DocumentError:
                     if not complete:
                         self._log.flush()
                         self._log.truncate(offset)
-                        break
+                        return None
                     raise StoreError(
                         f"log at {self.directory} is corrupt at byte {offset}"
                     ) from None
                 raise StoreError(
                     f"log at {self.directory} holds a non-canonical record at byte {offset}"
                 )
-            token = accepted[1]
-            if token in self._entries:
-                raise StoreError(f"log at {self.directory} holds duplicate OID {token!r}")
-            self._entries[token] = (offset, len(line) - 1)
             if not complete:
                 # full record text landed but the newline did not; finish it
                 self._log.write(b"\n")
                 self._log.flush()
-            crc = zlib.crc32(line, crc)
-            offset += len(line)
-        self._log_len = offset
-        self._crc = crc
+            return found[1]
 
-    def _write_index(self) -> None:
-        path = self.directory / self.INDEX_FILE
-        tmp = path.with_suffix(".idx.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(f"#{self._crc:08x}\n")
-            for token in sorted(self._entries):
-                offset, length = self._entries[token]
-                fh.write(f"{token}\t{offset}\t{length}\n")
-        os.replace(tmp, path)
+        self._read_log(size, accepted)
 
     # -- line storage ------------------------------------------------------
 
@@ -402,8 +406,8 @@ class FileStore(StoreAdapter):
             self._dirty_reads = False
 
     def _line(self, token: str) -> bytes:
-        """The log line, newline included, that the index entry of token
-        points at, once checked to frame the record that token names: it
+        """The log line, newline included, that the entry of token points
+        at, once checked to frame the record that token names: it
         starts with that record's start tag (``line_oid``), ends with
         ``</o>`` and holds no other newline."""
         self._flush_puts()
@@ -419,8 +423,8 @@ class FileStore(StoreAdapter):
             and line.find(b"\n") == length
         ):
             raise StoreError(
-                f"index entry {token!r} at byte {offset} of {self.directory} "
-                f"does not frame its record"
+                f"log line at byte {offset} of {self.directory} "
+                f"does not frame record {token!r}"
             )
         return line
 
@@ -437,7 +441,15 @@ class FileStore(StoreAdapter):
     def commit(self) -> None:
         self._log.flush()
         os.fsync(self._log.fileno())
-        self._write_index()
+        path = self.directory / self.INDEX_FILE
+        tmp = path.with_suffix(".idx.tmp")
+        _write_synced(tmp, b"#%08x %d\n" % (self._crc, self._log_len))
+        os.replace(tmp, path)
+        fd = os.open(self.directory, os.O_RDONLY)
+        try:
+            os.fsync(fd)  # makes the rename durable
+        finally:
+            os.close(fd)
 
     def checkpoint(self) -> object:
         return (self._log_len, self._crc)
@@ -455,24 +467,25 @@ class FileStore(StoreAdapter):
         self._dirty_reads = True
 
 
-_INDEX_HEADER = re.compile(r"#([0-9a-f]{8})\Z")
+# the commit record: CRC-32 of the committed log prefix, then its length
+_COMMIT_RECORD = re.compile(rb"#([0-9a-f]{8}) (0|[1-9][0-9]*)\n")
 
 
-def _parse_index(text: str) -> tuple[int, dict[str, tuple[int, int]]]:
-    """(log CRC, entries) of an index file; ValueError if malformed."""
-    header, *lines = text.splitlines()
-    match = _INDEX_HEADER.match(header)
-    if match is None:
-        raise ValueError(f"index header {header!r} is not a log CRC")
-    entries = {}
-    for line in lines:
-        token, offset, length = line.split("\t")
-        entries[token] = (int(offset), int(length))
-    return int(match[1], 16), entries
+def _framed_oid(line: bytes, complete: bool, offset: int) -> str | None:
+    """The OID token of a committed log line that starts with a start tag
+    and ends with ``</o>`` and a newline; the commit CRC vouches for the rest."""
+    return line_oid(line) if complete and line.endswith(b"</o>") else None
 
 
 def _encode_line(record: ObjectRecord, layouts: LayoutIndex) -> bytes:
     return (format_record(record, layouts) + "\n").encode("utf-8")
+
+
+def _write_synced(path: Path, data: bytes) -> None:
+    with open(path, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def _names_file(path: Path, fd: int) -> bool:

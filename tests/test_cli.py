@@ -192,6 +192,26 @@ def test_import_of_a_non_canonical_document_names_its_line(person_xsd, tmp_path,
     assert not target.exists()
 
 
+def test_import_under_a_renamed_schema_file_fails(person_xsd, tmp_path, capsys):
+    # the CLI names the model after the schema file, and line 2 binds it
+    model, _ = _model_of(person_xsd)
+    with FileStore(tmp_path / "store", model) as store:
+        store.put(person("o1"))
+        store.commit()
+    a_xsd, b_xsd = tmp_path / "a.xsd", tmp_path / "b.xsd"
+    a_xsd.write_bytes(person_xsd.read_bytes())
+    b_xsd.write_bytes(person_xsd.read_bytes())
+    doc = tmp_path / "a.odbx"
+    assert main(["export", "--schema", str(a_xsd), "--store", str(tmp_path / "store"), "--out", str(doc)]) == 0
+    assert main(["import", "--schema", str(a_xsd), "--in", str(doc), "--store", str(tmp_path / "same")]) == 0
+    capsys.readouterr()
+
+    target = tmp_path / "renamed"
+    assert main(["import", "--schema", str(b_xsd), "--in", str(doc), "--store", str(target)]) == 1
+    assert "error: line 2, column 1: not canonical" in capsys.readouterr().err
+    assert not target.exists()
+
+
 def test_import_missing_input_is_io_error(person_xsd, tmp_path):
     assert main(["import", "--schema", str(person_xsd), "--in", str(tmp_path / "none.odbx"), "--store", str(tmp_path / "s")]) == 2
 

@@ -4,6 +4,7 @@ import/export/migrate operations."""
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,7 @@ from transodb import (
 from transodb.bench import bench_model
 from transodb.conformance import check_adapter_contract, random_graph, random_model
 from transodb.graph import records_equal
+from transodb.objectxml import line_oid
 
 from conftest import person, stream_through_file_store
 
@@ -355,17 +357,16 @@ def test_non_canonical_log_line_is_corruption(family_model, tmp_path):
     ],
     ids=["export", "get", "scan"],
 )
-def test_swapped_index_offsets_fail_export(read, family_model, tmp_path):
-    _two_committed_people(tmp_path / "s", family_model)
-    index = tmp_path / "s" / "index.idx"
-    header, p1, p2 = index.read_text().splitlines()
-    (t1, o1, n1), (t2, o2, n2) = p1.split("\t"), p2.split("\t")
-    assert n1 == n2
-    index.write_text(f"{header}\n{t1}\t{o2}\t{n1}\n{t2}\t{o1}\t{n2}\n")
-
-    with FileStore(tmp_path / "s", family_model) as reopened:
-        with pytest.raises(StoreError):
-            read(reopened, family_model)
+def test_swapped_log_lines_fail_reads(read, family_model, tmp_path):
+    # the entries of an open store point at log offsets; a line moved under
+    # them is caught by _line's framing check, before the log CRC check
+    log = _two_committed_people(tmp_path / "s", family_model)
+    p1, p2 = log.read_bytes().splitlines(keepends=True)
+    assert len(p1) == len(p2)
+    with FileStore(tmp_path / "s", family_model) as store:
+        log.write_bytes(p2 + p1)
+        with pytest.raises(StoreError, match="does not frame record 'p1'"):
+            read(store, family_model)
 
 
 def test_rolled_back_import_then_commit_reopens_without_rebuild(family_model, tmp_path, monkeypatch):
@@ -379,12 +380,112 @@ def test_rolled_back_import_then_commit_reopens_without_rebuild(family_model, tm
     before = export_store(store, family_model)
     store.close()
 
-    def no_rebuild(self):
-        raise AssertionError("a committed index must be accepted as it is")
-
-    monkeypatch.setattr(FileStore, "_rebuild_index", no_rebuild)
+    _forbid_rebuild(monkeypatch)
     with FileStore(tmp_path / "s", family_model) as reopened:
         assert export_store(reopened, family_model) == before
+
+
+def _forbid_rebuild(monkeypatch):
+    """Fail the test if LineAcceptor runs, as every rebuild does."""
+
+    def no_acceptor(layouts):
+        raise AssertionError("a committed store must reopen without a rebuild")
+
+    monkeypatch.setattr("transodb.store.LineAcceptor", no_acceptor)
+
+
+def _commit_record(log: bytes) -> bytes:
+    return b"#%08x %d\n" % (zlib.crc32(log), len(log))
+
+
+def _old_format_index(log: bytes) -> bytes:
+    """The index an older version wrote: the log CRC, then OID, offset and
+    length per line."""
+    index, offset = b"#%08x\n" % zlib.crc32(log), 0
+    for line in log.splitlines(keepends=True):
+        index += b"%s\t%d\t%d\n" % (line_oid(line).encode(), offset, len(line) - 1)
+        offset += len(line)
+    return index
+
+
+@pytest.mark.parametrize(
+    "bad_record",
+    [
+        lambda log: _commit_record(log + b"\n"),
+        lambda log: b"#%08x %d\n" % (zlib.crc32(log) ^ 1, len(log)),
+        lambda log: _commit_record(log[:-3]),
+        _old_format_index,
+        lambda log: _commit_record(log)[:-1],
+    ],
+    ids=["length-past-log-end", "wrong-crc", "prefix-ends-mid-line", "old-format", "no-newline"],
+)
+def test_bad_commit_record_falls_back_to_rebuild(bad_record, family_model, tmp_path, monkeypatch):
+    log = _two_committed_people(tmp_path / "s", family_model)
+    data = log.read_bytes()
+    index = tmp_path / "s" / "index.idx"
+    assert index.read_bytes() == _commit_record(data)
+    index.write_bytes(bad_record(data))
+    expected = write_canonical([person("p1"), person("p2")], family_model)
+
+    with FileStore(tmp_path / "s", family_model) as reopened:
+        assert export_store(reopened, family_model) == expected
+    assert log.read_bytes() == data
+    assert index.read_bytes() == _commit_record(data)  # written by the rebuild
+
+    _forbid_rebuild(monkeypatch)  # the fresh record is trusted at the next open
+    with FileStore(tmp_path / "s", family_model) as reopened:
+        assert export_store(reopened, family_model) == expected
+
+
+# Kill points inside FileStore.commit: the child's commit override wraps
+# the os call named first, and exits just before or just after it runs.
+_DIES_IN_COMMIT = (
+    "import os, sys\n"
+    "from pathlib import Path\n"
+    "from transodb import FileStore, import_document\n"
+    "from transodb.bench import bench_model\n"
+    "name, when = sys.argv[3].split('-')\n"
+    "real = getattr(os, name)\n"
+    "def dies(*args):\n"
+    "    if when == 'after':\n"
+    "        real(*args)\n"
+    "    os._exit(3)\n"
+    "class DiesInCommit(FileStore):\n"
+    "    def commit(self):\n"
+    "        setattr(os, name, dies)\n"
+    "        super().commit()\n"
+    "model = bench_model()\n"
+    "import_document(Path(sys.argv[2]).read_bytes(), model, DiesInCommit(sys.argv[1], model))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "kill, published",
+    [("fsync-after", False), ("replace-before", False), ("replace-after", True)],
+    ids=["after-log-fsync", "after-tmp-written", "after-rename"],
+)
+def test_killed_commit_reopens_at_the_last_commit(kill, published, tmp_path):
+    """A process killed inside commit leaves a store that reopens at the
+    last commit: the one before until the record's rename, then this one."""
+    model = bench_model()
+    committed = [person(f"keep{i}") for i in range(3)]
+    with FileStore(tmp_path / "s", model) as store:
+        import_document(write_canonical(committed, model), model, store)
+    added = list(synthesize_graph(model, 5, 40).records.values())
+    doc = tmp_path / "doc.odbx"
+    doc.write_bytes(write_canonical(added, model))
+    index, log = tmp_path / "s" / "index.idx", tmp_path / "s" / "objects.log"
+    before, committed_log = index.read_bytes(), log.read_bytes()
+
+    assert _run_child(_DIES_IN_COMMIT, str(tmp_path / "s"), str(doc), kill) == 3
+    assert (index.read_bytes() != before) is published
+    assert (tmp_path / "s" / "index.idx.tmp").exists() is (kill == "replace-before")
+
+    last = committed + added if published else committed
+    with FileStore(tmp_path / "s", model) as reopened:
+        assert export_store(reopened, model) == write_canonical(last, model)
+    assert (log.read_bytes() == committed_log) is not published
+    assert index.read_bytes() == _commit_record(log.read_bytes())
 
 
 def test_reopen_preserves_bytes_exactly(family_model, tmp_path):
