@@ -40,7 +40,6 @@ from .graph import (
     build_graph,
     graphs_equal,
     records_equal,
-    synthesize_graph,
 )
 from .store import (
     DanglingRefError,
@@ -55,5 +54,6 @@ from .store import (
     import_document,
     migrate,
 )
+from .bench import synthesize_graph
 
 __version__ = "0.1.0"

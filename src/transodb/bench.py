@@ -1,5 +1,5 @@
-"""Benchmark harness: size comparison against the verbose baseline and
-export/import timing over the bundled reference schema."""
+"""Benchmark harness over the bundled reference schema: a seeded workload
+(synthesize_graph), export/import timing and the verbose-baseline size."""
 
 from __future__ import annotations
 
@@ -8,9 +8,10 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .graph import ObjectGraph, synthesize_graph
+from .errors import ModelMismatchError
+from .graph import ObjectGraph, build_graph
 from .model import ClassModel
-from .objectxml import write_canonical, write_verbose
+from .objectxml import ObjectRecord, Oid, Value, write_canonical, write_verbose
 from .store import FileStore, import_document
 from .xsd import emit_schema, parse_schema
 
@@ -67,6 +68,81 @@ def measure(graph: ObjectGraph, model: ClassModel, workdir: Path) -> BenchRow:
     if row.n_objects >= 1 and row.verbose_bytes <= row.canonical_bytes:
         raise AssertionError("verbose baseline must out-weigh the canonical form")
     return row
+
+
+class Lcg:
+    """64-bit linear-congruential generator (modulus 2**64) used by the
+    synthetic workload so byte counts stay reproducible everywhere."""
+
+    MULTIPLIER = 6364136223846793005
+    INCREMENT = 1442695040888963407
+    MASK = (1 << 64) - 1
+
+    def __init__(self, seed: int):
+        self.state = seed & self.MASK
+
+    def next(self) -> int:
+        self.state = (self.state * self.MULTIPLIER + self.INCREMENT) & self.MASK
+        return self.state
+
+    def below(self, bound: int) -> int:
+        return self.next() % bound
+
+    def chance(self, percent: int) -> bool:
+        return self.below(100) < percent
+
+
+_STRING_ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 _.-"
+_MARKUP_CHARS = '&<>"'
+
+
+def _random_string(rng: Lcg) -> str:
+    length = 1 + rng.below(32)
+    chars = [_STRING_ALPHABET[rng.below(len(_STRING_ALPHABET))] for _ in range(length)]
+    if rng.chance(10):
+        chars[rng.below(length)] = _MARKUP_CHARS[rng.below(len(_MARKUP_CHARS))]
+    return "".join(chars)
+
+
+def synthesize_graph(model: ClassModel, seed: int, n: int) -> ObjectGraph:
+    """Deterministic benchmark workload over the bundled reference schema.
+
+    Produces exactly n records with OIDs o0..o(n-1); every reference points
+    at an earlier-or-equal index, so the result is closed by construction.
+    """
+    for required in ("Person", "Employee"):
+        if required not in model.classes:
+            raise ModelMismatchError(
+                f"benchmark workload needs class {required!r}; model lacks it"
+            )
+    rng = Lcg(seed)
+    records: dict[Oid, ObjectRecord] = {}
+    employees: list[int] = []
+
+    for i in range(n):
+        is_employee = rng.chance(50)
+        values: dict[str, Value] = {
+            "name": _random_string(rng),
+            "age": rng.below(100),
+        }
+        if rng.chance(60):
+            values["email"] = _random_string(rng)
+        if rng.chance(50):
+            values["spouse"] = Oid(f"o{rng.below(i + 1)}")
+        friends = [Oid(f"o{rng.below(i + 1)}") for _ in range(rng.below(4))]
+        if friends:
+            values["friends"] = friends
+        class_name = "Person"
+        if is_employee:
+            class_name = "Employee"
+            values["salary"] = rng.below(10_000_000) / 100.0
+            employees.append(i)
+            if rng.chance(50):
+                values["manager"] = Oid(f"o{employees[rng.below(len(employees))]}")
+        oid = Oid(f"o{i}")
+        records[oid] = ObjectRecord(class_name, oid, values)
+
+    return build_graph(records.values(), model)
 
 
 def run_bench(model: ClassModel, sizes: list[int], seed: int, workdir: Path) -> list[BenchRow]:

@@ -147,14 +147,13 @@ def validate_model(model: ClassModel) -> list[Diagnostic]:
                     )
                 )
 
-    cyclic = _cycle_members(model)
-    for cname in cyclic:
+    for cname in _cycle_members(model):
         diags.append(Diagnostic(cname, None, f"inheritance cycle at {cname}"))
 
     # Duplicate detection needs a resolvable chain: skip classes whose
     # ancestry is broken by a cycle or a missing superclass.
     for cname, cdef in model.classes.items():
-        chain = _chain(model, cname, cyclic)
+        chain = _chain(model, cname)
         if chain is None:
             continue
         seen: set[str] = set()
@@ -173,15 +172,7 @@ def validate_model(model: ClassModel) -> list[Diagnostic]:
 def resolve_layout(model: ClassModel, class_name: str) -> list[FieldDef]:
     """Flattened field layout: root ancestor's fields first, then each
     descendant's own fields, declaration order preserved within a class."""
-    chain = _chain(model, class_name, _cycle_members(model))
-    if class_name not in model.classes:
-        raise KeyError(f"unknown class {class_name!r}")
-    if chain is None:
-        raise InvalidModelError(validate_model(model))
-    layout: list[FieldDef] = []
-    for ancestor in chain:
-        layout.extend(model.classes[ancestor].own_fields)
-    return layout
+    return LayoutIndex(model).layout(class_name)
 
 
 def is_subtype(model: ClassModel, sub: str, sup: str) -> bool:
@@ -224,17 +215,32 @@ def dump_model(model: ClassModel) -> str:
 
 
 class LayoutIndex:
-    """Per-class layout cache over a validated model."""
+    """Per-class ancestry and layout cache over a validated model; a class
+    costs a walk of its own ancestry, not of the model."""
 
     def __init__(self, model: ClassModel):
         self.model = model
+        self._chains: dict[str, tuple[str, ...]] = {}
         self._layouts: dict[str, list[FieldDef]] = {}
         self._by_name: dict[str, dict[str, FieldDef]] = {}
+
+    def chain(self, class_name: str) -> tuple[str, ...]:
+        """The class's ancestry, root first, the class itself last."""
+        cached = self._chains.get(class_name)
+        if cached is None:
+            if class_name not in self.model.classes:
+                raise KeyError(f"unknown class {class_name!r}")
+            chain = _chain(self.model, class_name)
+            if chain is None:
+                raise InvalidModelError(validate_model(self.model))
+            cached = self._chains[class_name] = chain
+        return cached
 
     def layout(self, class_name: str) -> list[FieldDef]:
         cached = self._layouts.get(class_name)
         if cached is None:
-            cached = resolve_layout(self.model, class_name)
+            classes = self.model.classes
+            cached = [f for ancestor in self.chain(class_name) for f in classes[ancestor].own_fields]
             self._layouts[class_name] = cached
             self._by_name[class_name] = {f.name: f for f in cached}
         return cached
@@ -282,16 +288,14 @@ def _cycle_members(model: ClassModel) -> set[str]:
     return members
 
 
-def _chain(model: ClassModel, class_name: str, cyclic: set[str]) -> list[str] | None:
-    """Root-first ancestry of a class, or None if it cannot be resolved."""
-    if class_name not in model.classes:
-        return None
+def _chain(model: ClassModel, class_name: str) -> tuple[str, ...] | None:
+    """Root-first ancestry of a class, or None if it cannot be resolved:
+    the walk meets a missing class or comes back to one it has seen."""
     chain: list[str] = []
     current: str | None = class_name
     while current is not None:
-        if current in cyclic or current not in model.classes:
+        if current in chain or current not in model.classes:
             return None
         chain.append(current)
         current = model.classes[current].superclass
-    chain.reverse()
-    return chain
+    return tuple(reversed(chain))

@@ -15,11 +15,12 @@ attributes).
 
 Import and the FileStore log rebuild are strict instead: they take only
 the bytes CanonicalWriter writes. LineAcceptor checks a record line
-against one regex per class, compiled from the class layout on first use,
-plus the few checks a regex cannot make (int64 range, float repr, UTF-8
-and XML character ranges); accept_document walks a whole document with it
-and also checks the declaration, the root tag (the model's own name and
-schema hash, byte for byte), OID order and the footer.
+against one regex per class of its ancestry, each compiled from that
+class's own fields on first use, plus the checks a regex cannot make
+(int64 range, float repr, UTF-8 and XML character ranges);
+accept_document walks a whole document with it and also checks the
+declaration, the root tag (the model's own name and schema hash, byte for
+byte), OID order and the footer.
 Neither builds an ObjectRecord. Expat decodes a rejected line only to
 explain the rejection.
 
@@ -34,7 +35,7 @@ import io
 import math
 import re
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Callable, Iterable, Iterator
 from xml.parsers import expat
 
 from .errors import EXPAT_FAILURES, TransodbError, describe_expat_failure
@@ -46,6 +47,7 @@ from .model import (
     Ref,
     Scalar,
     ScalarKind,
+    _kind_spec,  # the verbose baseline reuses the dump kind grammar
     dump_model,
 )
 
@@ -218,18 +220,21 @@ def iter_refs(record: ObjectRecord, layouts: LayoutIndex) -> Iterator[tuple[str,
 
 # A canonical line escapes <, > and & in text, and " too in attribute
 # values, so '"/>' closes only a reference leaf and a line starts with its
-# record's start tag: these match exactly the start tag (OID token in group
-# 1) and, in iter_refs order, the reference leaves (target token in group
-# 1), never bytes of a string field.
-_LINE_HEAD_RE = re.compile(rb'<o c="[^"]*" id="([A-Za-z0-9_.\-]+)">')
-_LINE_REF_RE = re.compile(rb' r="([A-Za-z0-9_.\-]+)"/>')
+# record's start tag. The one spelling of the start tag (class in group 1,
+# OID token in group 2) and of a reference leaf's tail, shared by line_oid,
+# line_refs and LineAcceptor. Only line_refs captures the target token: a
+# group in the acceptor's segments made a short one match about half as fast.
+_TOKEN = rb"[\w.-]+"  # OID_RE: in a bytes pattern \w is [A-Za-z0-9_]
+_LINE_HEAD_RE = re.compile(rb'<o c="([A-Za-z_]\w*)" id="(' + _TOKEN + rb')">')
+_REF_LEAF = rb' r="' + _TOKEN + rb'"/>'
+_LINE_REF_RE = re.compile(_REF_LEAF.replace(_TOKEN, b"(" + _TOKEN + b")"))
 
 
 def line_oid(line: bytes) -> str | None:
     """The OID token of a canonical record line, read from its start tag;
     None if the line does not start with one."""
     head = _LINE_HEAD_RE.match(line)
-    return None if head is None else head[1].decode("ascii")
+    return None if head is None else head[2].decode("ascii")
 
 
 def line_refs(line: bytes) -> list[str]:
@@ -238,13 +243,12 @@ def line_refs(line: bytes) -> list[str]:
     return [token.decode("ascii") for token in _LINE_REF_RE.findall(line)]
 
 
-# Leaf content as format_record writes it, in the per-class line patterns,
+# Leaf content as format_record writes it, in the acceptor's segments,
 # spelled short: compiling a pattern costs about its length, once per class
 # in each import and rebuild. Text is escape_text's output: no markup, no
 # raw newline or carriage return and no control character XML cannot carry
 # (a tab stays raw); an '&' must start one of the entities escape_text
 # writes, which _AMP_FAULT, one pattern for every class, checks.
-_TOKEN = rb"[\w.-]+"  # OID_RE: in a bytes pattern \w is [A-Za-z0-9_]
 _SCALAR_TEXT = {
     ScalarKind.STR: b"[^\x00-\x08\n-\x1f<>]+",  # control bytes spelled raw: shorter to parse
     ScalarKind.BOOL: rb"(?:true|false)",
@@ -254,38 +258,32 @@ _SCALAR_TEXT = {
     ScalarKind.FLOAT64: rb"-?\d[\d.e+-]*",
 }
 _AMP_FAULT = re.compile(rb"&(?!(?:amp|lt|gt|#13|#10);)")
-_LINE_CLASS_RE = re.compile(rb'<o c="([A-Za-z_]\w*)" id="')
-
-
-class _ClassLine(NamedTuple):
-    """What LineAcceptor compiled for one class."""
-
-    name: str
-    line: re.Pattern  # the whole line, OID token in group 1
-    long_ints: re.Pattern | None  # int leaves of 19 digits or more
-    floats: re.Pattern | None  # float leaves
-    has_refs: bool
 
 
 class LineAcceptor:
     """Accepts exactly the canonical record lines of a model's valid
     records: a line is accepted iff it decodes and equals format_record of
-    its decode plus a newline. Nothing is compiled until a class is first
-    met; a class then costs one pattern of its layout (start tag, fields in
-    layout order with ``?`` for optional and ``*`` for list fields, exact
-    boolean, integer and reference leaves, ``</o>`` and the newline) and up
-    to two small ones for the checks a regex cannot make: int64 range, and
-    ``repr(float(t)) == t`` for each float. A line with non-ASCII bytes must
+    its decode plus a newline. A class is compiled when first met: one
+    segment pattern of its own fields (``?`` for optional and ``*`` for list
+    fields, exact boolean, integer and reference leaves), which descendants
+    share, and up to two small patterns over its layout for the int64 range
+    and ``repr(float(t)) == t``. A line must match its ancestry's segments,
+    chained root first after the start tag, then end in ``</o>`` and the
+    newline. Greedy chaining loses no match: field names are unique in a
+    layout and each leaf starts ``<name`` then ``>``, ``/>`` or `` r=``, so
+    at most one leaf starts at a position. A line with non-ASCII bytes must
     also decode as strict UTF-8 into characters XML can carry."""
 
     def __init__(self, layouts: LayoutIndex):
         self._layouts = layouts
-        self._classes: dict[bytes, _ClassLine | None] = {}
+        self._segments: dict[str, re.Pattern | None] = {}  # None: no own fields
+        # class name -> (class name, segments, long int leaves, float leaves, has refs)
+        self._classes: dict[bytes, tuple | None] = {}
 
     def accept(self, line: bytes) -> tuple[str, str, list[str]] | None:
         """(class name, OID token, reference target tokens in iter_refs
         order) of a canonical record line, or None if it is not one."""
-        head = _LINE_CLASS_RE.match(line)
+        head = _LINE_HEAD_RE.match(line)
         if head is None:
             return None
         try:
@@ -294,14 +292,18 @@ class LineAcceptor:
             compiled = self._classes[head[1]] = self._compile(head[1].decode("ascii"))
         if compiled is None:
             return None
-        class_name, line_re, long_ints, floats, has_refs = compiled
-        match = line_re.fullmatch(line)
-        if match is None or b"&" in line and _AMP_FAULT.search(line):
-            return None
-        if long_ints is not None:
-            if any(not INT64_MIN <= int(t) <= INT64_MAX for t in long_ints.findall(line)):
+        class_name, segments, long_ints, floats, has_refs = compiled
+        pos = head.end()
+        for segment in segments:
+            match = segment.match(line, pos)
+            if match is None:
                 return None
-        if floats is not None:
+            pos = match.end()
+        if line[pos:] != b"</o>\n" or b"&" in line and _AMP_FAULT.search(line):
+            return None
+        if long_ints and any(not INT64_MIN <= int(t) <= INT64_MAX for t in long_ints.findall(line)):
+            return None
+        if floats:
             try:
                 if any(repr(float(t)).encode("ascii") != t for t in floats.findall(line)):
                     return None
@@ -315,29 +317,30 @@ class LineAcceptor:
                 return None
             if _XML_UNREPRESENTABLE.search(text):
                 return None
-        return class_name, match[1].decode("ascii"), line_refs(line) if has_refs else []
+        return class_name, head[2].decode("ascii"), line_refs(line) if has_refs else []
 
-    def _compile(self, class_name: str) -> _ClassLine | None:
+    def _compile(self, class_name: str) -> tuple | None:
         if class_name not in self._layouts.model.classes:
             return None
         layout = self._layouts.layout(class_name)
-        parts = [b'<o c="' + re.escape(class_name.encode()) + b'" id="(' + _TOKEN + b')">']
-        for fdef in layout:
-            leaf = _leaf_pattern(re.escape(fdef.name.encode()), _element_kind(fdef))
-            if isinstance(fdef.kind, ListOf):
-                parts.append(b"(?:" + leaf + b")*")
-            elif fdef.optional:
-                parts.append(b"(?:" + leaf + b")?")
-            else:
-                parts.append(leaf)
-        parts.append(b"</o>\n")
-        return _ClassLine(
+        return (
             class_name,
-            re.compile(b"".join(parts)),
+            tuple(filter(None, map(self._segment, self._layouts.chain(class_name)))),
             _leaves_of(layout, ScalarKind.INT64, rb"-?\d{19,}"),
             _leaves_of(layout, ScalarKind.FLOAT64, rb"[^<]*"),
             any(isinstance(_element_kind(f), Ref) for f in layout),
         )
+
+    def _segment(self, class_name: str) -> re.Pattern | None:
+        if class_name not in self._segments:
+            parts = []
+            for fdef in self._layouts.model.classes[class_name].own_fields:
+                leaf = _leaf_pattern(re.escape(fdef.name.encode()), _element_kind(fdef))
+                if fdef.optional:  # every list field is
+                    leaf = b"(?:" + leaf + (b")*" if isinstance(fdef.kind, ListOf) else b")?")
+                parts.append(leaf)
+            self._segments[class_name] = re.compile(b"".join(parts)) if parts else None
+        return self._segments[class_name]
 
 
 def _element_kind(fdef: FieldDef) -> Scalar | Ref:
@@ -346,7 +349,7 @@ def _element_kind(fdef: FieldDef) -> Scalar | Ref:
 
 def _leaf_pattern(name: bytes, kind: Scalar | Ref) -> bytes:
     if isinstance(kind, Ref):
-        return b"<" + name + b' r="' + _TOKEN + b'"/>'
+        return b"<" + name + _REF_LEAF
     content = b">" + _SCALAR_TEXT[kind.kind] + b"</" + name + b">"
     if kind.kind is ScalarKind.STR:  # <f/> for the empty string
         return b"<" + name + b"(?:/>|" + content + b")"
@@ -355,7 +358,7 @@ def _leaf_pattern(name: bytes, kind: Scalar | Ref) -> bytes:
 
 def _leaves_of(layout: list[FieldDef], kind: ScalarKind, text: bytes) -> re.Pattern | None:
     """Captures the text of each leaf of the given kind that matches text,
-    in a line the class pattern accepted: text holds no '<', so there
+    in a line the segments accepted: text holds no '<', so there
     '<f>' is always a tag."""
     names = [re.escape(f.name.encode()) for f in layout if _element_kind(f) == Scalar(kind)]
     if not names:
@@ -553,7 +556,7 @@ class _Decoder:
         if fdef is None:
             self.fail(f"unknown field {name!r} on {self._record.class_name}")
         self._fdef = fdef
-        kind = fdef.kind.element if isinstance(fdef.kind, ListOf) else fdef.kind
+        kind = _element_kind(fdef)
         self._is_ref_leaf = isinstance(kind, Ref)
         if self._is_ref_leaf:
             if set(attrs) != {"r"}:
@@ -571,7 +574,7 @@ class _Decoder:
         fdef = self._fdef
         if not self._is_ref_leaf:
             raw = "".join(self._text)
-            kind = fdef.kind.element if isinstance(fdef.kind, ListOf) else fdef.kind
+            kind = _element_kind(fdef)
             self._store(fdef.name, self._decode_scalar(kind.kind, raw, fdef.name))
         self._fdef = None
         self._text = None
@@ -755,8 +758,6 @@ def write_verbose(records: Iterable[ObjectRecord], model: ClassModel) -> dict[st
     """Emit the legacy multi-file baseline: two DTDs, a schema restatement,
     and a data file that repeats synthetic storage coordinates and the full
     type descriptor for every object. Used only for size comparison."""
-    from .model import _kind_spec  # rendering reuses the dump kind grammar
-
     layouts = LayoutIndex(model)
     ordered = sorted(records, key=lambda r: r.oid.token)
     for record in ordered:
@@ -815,7 +816,7 @@ def write_verbose(records: Iterable[ObjectRecord], model: ClassModel) -> dict[st
                 data_lines.append("      </Field>")
             elif isinstance(fdef.kind, Ref):
                 data_lines.append(
-                    f'      <Field name="{fdef.name}" type="{spec}" ref="{item_token(value)}"/>'
+                    f'      <Field name="{fdef.name}" type="{spec}" ref="{escape_attr(value.token)}"/>'
                 )
             else:
                 text = escape_text(_scalar_text(fdef.kind.kind, value))
@@ -832,19 +833,13 @@ def write_verbose(records: Iterable[ObjectRecord], model: ClassModel) -> dict[st
     }
 
 
-def item_token(value: Oid) -> str:
-    return escape_attr(value.token)
-
-
 def _verbose_item(kind: Scalar | Ref, item) -> str:
     if isinstance(kind, Ref):
-        return f'<Item ref="{item_token(item)}"/>'
+        return f'<Item ref="{escape_attr(item.token)}"/>'
     return f"<Item>{escape_text(_scalar_text(kind.kind, item))}</Item>"
 
 
 def _descriptor_line(fdef: FieldDef) -> str:
-    from .model import _kind_spec
-
     optional = "true" if fdef.optional else "false"
     return f'<FieldDescriptor name="{fdef.name}" kind="{_kind_spec(fdef.kind)}" optional="{optional}"/>'
 

@@ -17,6 +17,7 @@ from transodb import (
     validate_model,
 )
 from transodb.conformance import flatten_layout_reference, random_model
+from transodb.model import LayoutIndex
 
 
 def cls(name, superclass=None, *fields):
@@ -133,6 +134,31 @@ def test_layout_flattens_root_first():
 def test_layout_unknown_class():
     with pytest.raises(KeyError):
         resolve_layout(three_level_model(), "Ghost")
+
+
+def test_layout_resolves_each_class_through_its_own_ancestry():
+    """A cycle or a missing superclass fails only the classes whose
+    ancestry reaches it; LayoutIndex.chain is that ancestry, root first."""
+    m = ClassModel(
+        "m",
+        {
+            "A": cls("A", "B"),
+            "B": cls("B", "A"),
+            "C": cls("C", None, FieldDef("x", Scalar(ScalarKind.INT64))),
+            "D": cls("D", "A"),
+            "E": cls("E", "Ghost"),
+            "F": cls("F", "C", FieldDef("y", Scalar(ScalarKind.STR))),
+        },
+    )
+    assert [f.name for f in resolve_layout(m, "F")] == ["x", "y"]
+    assert LayoutIndex(m).chain("F") == ("C", "F")
+    for cname in ("A", "B", "D", "E"):
+        with pytest.raises(InvalidModelError):
+            resolve_layout(m, cname)
+        with pytest.raises(InvalidModelError):
+            LayoutIndex(m).layout(cname)
+    with pytest.raises(KeyError):
+        LayoutIndex(m).chain("Ghost")
 
 
 def test_layout_matches_naive_oracle_on_random_models():

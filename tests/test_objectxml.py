@@ -14,6 +14,7 @@ from transodb import (
     ObjectRecord,
     Oid,
     RecordError,
+    Ref,
     Scalar,
     ScalarKind,
     read_canonical,
@@ -356,6 +357,81 @@ def test_line_acceptor_rejects_bytes_xml_cannot_carry(family_model, raw):
     layouts = LayoutIndex(family_model)
     line = b'<o c="Person" id="p1"><name>a' + raw + b"b</name><age>1</age></o>\n"
     assert not _agrees(LineAcceptor(layouts), line, family_model, layouts)
+
+
+def _deep_model() -> ClassModel:
+    """A chain D0 <- D1 <- ... <- D7, 8 deep, with E3 branching off D2.
+    D0 ends in an optional field and D1 and D4 in list fields, each
+    followed by a descendant's field; D2 and D7 have no own fields; a, ab,
+    abc and ab6 are prefixes of one another across classes, as are n and
+    n0; reference, int and float leaves sit at several depths. Required
+    references target the class or an ancestor, so random_graph is total."""
+    text, flag, num, real = (Scalar(k) for k in ScalarKind)
+    own = {
+        "D0": (None, [("a", text), ("n0", num), ("r0", Ref("D0")), ("x0", real, True)]),
+        "D1": ("D0", [("ab", text, True), ("f1", real), ("l1", ListOf(num))]),
+        "D2": ("D1", []),
+        "D3": ("D2", [("abc", num), ("r3", Ref("D1"), True), ("f3", ListOf(real)), ("b3", flag, True)]),
+        "D4": ("D3", [("a4", Ref("D3")), ("n4", num, True), ("lr4", ListOf(Ref("D0")))]),
+        "D5": ("D4", [("s5", text), ("f5", real), ("n5", ListOf(num)), ("r5", Ref("D5"), True)]),
+        "D6": ("D5", [("n", num), ("ab6", text, True), ("l6", ListOf(text))]),
+        "D7": ("D6", []),
+        "E3": ("D2", [("e", real), ("ab3", Ref("E3"), True)]),
+    }
+    return ClassModel(
+        "deep",
+        {c: ClassDef(c, sup, tuple(FieldDef(*f) for f in fs)) for c, (sup, fs) in own.items()},
+    )
+
+
+def test_line_acceptor_agrees_with_the_decoder_on_deep_chains():
+    """The differential test above, over 2,000 random_graph lines of a model
+    whose classes chain up to 8 segments, their decoy variants and seeded
+    mutants."""
+    model = _deep_model()
+    layouts = LayoutIndex(model)
+    assert len(layouts.chain("D7")) == 8
+    acceptor = LineAcceptor(layouts)
+    rng = random.Random(19)
+    lines = accepted = 0
+    for seed in range(20):
+        for i, record in enumerate(random_graph(model, seed, 100).records.values()):
+            for variant in (record, _with_decoys(record, layouts, i)):
+                line = (format_record(variant, layouts) + "\n").encode()
+                assert _agrees(acceptor, line, model, layouts)
+                for _ in range(3):
+                    accepted += _agrees(acceptor, _mutant(rng, line), model, layouts)
+            lines += 1
+    assert lines >= 2_000
+    assert accepted
+
+
+_D3_LEAVES = [b"<a>x</a>", b"<n0>1</n0>", b'<r0 r="d"/>', b"<x0>1.5</x0>", b"<ab>y</ab>",
+              b"<f1>2.5</f1>", b"<l1>3</l1>", b"<l1>4</l1>", b"<abc>5</abc>", b"<b3>true</b3>"]
+
+
+@pytest.mark.parametrize(
+    "order, canonical",
+    [
+        pytest.param([0, 1, 2, 3, 4, 5, 6, 7, 8, 9], True, id="all-leaves"),
+        pytest.param([0, 1, 2, 4, 5, 8], True, id="no-x0-b3-or-l1"),
+        pytest.param([0, 1, 2, 3, 5, 6, 8, 9], True, id="no-ab"),
+        pytest.param([0, 1, 2, 4, 3, 5, 6, 7, 8, 9], False, id="D1-ab-before-D0-x0"),
+        pytest.param([0, 1, 2, 3, 4, 5, 6, 8, 7, 9], False, id="D3-abc-inside-D1-list"),
+        pytest.param([0, 1, 2, 3, 4, 5, 8, 6, 7, 9], False, id="D3-abc-before-D1-list"),
+        pytest.param([8, 0, 1, 2, 3, 4, 5, 6, 7, 9], False, id="D3-abc-first"),
+        pytest.param([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0], False, id="D0-a-again-after-D3"),
+        pytest.param([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 6], False, id="D1-list-again-after-D3"),
+        pytest.param([0, 1, 2, 3, 4, 3, 5, 6, 7, 8, 9], False, id="D0-x0-again-after-D1-ab"),
+        pytest.param([0, 1, 2, 3, 4, 5, 6, 7, 8, 4, 9], False, id="D1-ab-again-after-D3-abc"),
+        pytest.param([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 8], False, id="D3-abc-twice"),
+    ],
+)
+def test_line_acceptor_rejects_leaves_out_of_segment_order(order, canonical):
+    model = _deep_model()
+    layouts = LayoutIndex(model)
+    line = b'<o c="D3" id="d">' + b"".join(_D3_LEAVES[i] for i in order) + b"</o>\n"
+    assert _agrees(LineAcceptor(layouts), line, model, layouts) is canonical
 
 
 def test_escaping_totality_for_nasty_text(person_model):
