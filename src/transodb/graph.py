@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Iterable
 
 from .errors import ModelMismatchError, TransodbError
-from .model import ClassModel, LayoutIndex, dump_model, is_subtype
+from .model import ClassModel, LayoutIndex, dump_model
 from .objectxml import ObjectRecord, Oid, RecordError, Value, iter_refs, validate_record
 
 
@@ -91,7 +91,7 @@ def build_graph(records: Iterable[ObjectRecord], model: ClassModel) -> ObjectGra
                     f"{source.token}.{field_name} references missing {target.token}",
                 )
             )
-        elif not is_subtype(model, resolved.class_name, target_class):
+        elif target_class not in layouts.chain(resolved.class_name):
             errors.append(
                 BuildError(
                     BuildErrorKind.REF_TYPE_MISMATCH,

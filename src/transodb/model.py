@@ -177,19 +177,9 @@ def resolve_layout(model: ClassModel, class_name: str) -> list[FieldDef]:
 
 def is_subtype(model: ClassModel, sub: str, sup: str) -> bool:
     """True iff `sup` is `sub` or reachable from it along superclass links."""
-    for name in (sub, sup):
-        if name not in model.classes:
-            raise KeyError(f"unknown class {name!r}")
-    current: str | None = sub
-    seen: set[str] = set()
-    while current is not None:
-        if current == sup:
-            return True
-        if current in seen:
-            raise InvalidModelError(validate_model(model))
-        seen.add(current)
-        current = model.classes[current].superclass if current in model.classes else None
-    return False
+    if sup not in model.classes:
+        raise KeyError(f"unknown class {sup!r}")
+    return sup in LayoutIndex(model).chain(sub)
 
 
 def dump_model(model: ClassModel) -> str:

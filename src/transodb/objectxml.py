@@ -675,7 +675,13 @@ def accept_document(
     lines = io.BytesIO(data)
     if lines.readline() != _DECLARATION:
         raise DocumentError(f"not canonical: line 1 must be {_DECLARATION.decode()[:-1]}", 1, 1)
-    _check_root(lines.readline(), model)
+    root, expected = lines.readline(), _root_line(model)
+    if root != expected:
+        # the lenient reader explains a wrong hash or a malformed tag
+        raise _explained(
+            lambda: read_canonical(_DECLARATION + root + _FOOTER, model, lambda record: None),
+            2, f"line 2 must be {expected.decode()[:-1]}",
+        )
     acceptor = LineAcceptor(layouts)
     lineno = 2
     last = ""
@@ -684,7 +690,10 @@ def accept_document(
         accepted = acceptor.accept(line)
         if accepted is None:
             if line != _FOOTER:
-                raise _rejection(line, lineno, model, layouts)
+                raise _explained(
+                    lambda: decode_record_line(line, model, layouts),
+                    lineno, "a valid record, but not its canonical line",
+                )
             if lines.read(1):
                 raise DocumentError("not canonical: bytes after </objects>", lineno + 1, 1)
             return
@@ -698,27 +707,15 @@ def accept_document(
     raise DocumentError("document ends before </objects>", lineno + 1, 1)
 
 
-def _check_root(line: bytes, model: ClassModel) -> None:
-    """Line 2 must be CanonicalWriter.begin's root start tag for model."""
-    expected = _root_line(model)
-    if line != expected:
-        # the lenient reader explains a wrong hash or a malformed tag
-        try:
-            read_canonical(_DECLARATION + line + _FOOTER, model, lambda record: None)
-        except DocumentError as exc:
-            raise type(exc)(exc.detail, 2, exc.column) from None
-        raise DocumentError(f"not canonical: line 2 must be {expected.decode()[:-1]}", 2, 1)
-
-
-def _rejection(line: bytes, lineno: int, model: ClassModel, layouts: LayoutIndex) -> DocumentError:
-    """Why line lineno, which LineAcceptor rejected, is not a canonical
-    record line: the decoder's error re-based to lineno, or, for a line that
-    decodes, "not canonical"."""
+def _explained(decode: Callable[[], object], lineno: int, why: str) -> DocumentError:
+    """Why line lineno, rejected by a byte comparison or LineAcceptor, is not
+    canonical: the error decode() raises, re-based to lineno, or, if it
+    decodes, "not canonical: " and why."""
     try:
-        decode_record_line(line, model, layouts)
+        decode()
     except DocumentError as exc:
         return type(exc)(exc.detail, lineno, exc.column)
-    return DocumentError("not canonical: a valid record, but not its canonical line", lineno, 1)
+    return DocumentError(f"not canonical: {why}", lineno, 1)
 
 
 VERBOSE_FILE_NAMES = ("schema.dtd", "schema.xml", "data.dtd", "data.xml")

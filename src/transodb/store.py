@@ -8,10 +8,12 @@ overwrite), get and scan (decode), contains, count, and scan_lines in
 byte-wise OID order. A backend supplies only line storage: append a line,
 read one back, commit, checkpoint/rollback (so imports stay atomic on any
 backend) and close. MemStore is a plain in-process map of lines;
-FileStore is an append-only record log plus a one-line commit record;
-open reads the committed prefix once for its OIDs and CRC-32, and rebuilds
-from the whole log when the record does not match. import_document takes
-only canonical documents and stores their lines as they are.
+FileStore is an append-only record log plus a one-line commit record,
+bound to its model by a schema.xsd that must be emit_schema's bytes for
+it; open reads the committed prefix once for its OIDs and CRC-32, and
+rebuilds from the whole log when the record does not match.
+import_document takes only canonical documents and, like migrate, stores
+their lines as they are through one load that rolls back on any failure.
 
 One handle tolerates a single writing thread or any number of reading
 threads; concurrent writers to one FileStore directory are rejected via
@@ -42,10 +44,9 @@ from .objectxml import (
     format_record,
     line_oid,
     line_refs,
-    schema_hash,
     validate_record,
 )
-from .xsd import emit_schema, parse_schema
+from .xsd import emit_schema
 
 _CRC_CHUNK = 64 * 1024  # bytes per read of the log, at open and in its CRC check
 
@@ -178,11 +179,12 @@ class MemStore(StoreAdapter):
 class FileStore(StoreAdapter):
     """Directory-backed store.
 
-    Layout: ``schema.xsd`` (the bound model), ``objects.log`` (one canonical
-    record line per put, append-only, insertion order), ``index.idx`` (the
-    commit record) and ``LOCK``. The commit record is one line: ``#``, the
-    CRC-32 of the committed log prefix as 8 lowercase hex digits, a space
-    and the length of that prefix. Commit fsyncs the log, then writes the
+    Layout: ``schema.xsd`` (``emit_schema`` of the bound model, which open
+    compares byte for byte), ``objects.log`` (one canonical record line per
+    put, append-only, insertion order), ``index.idx`` (the commit record)
+    and ``LOCK``. The commit record is one line: ``#``, the CRC-32 of the
+    committed log prefix as 8 lowercase hex digits, a space and the length
+    of that prefix. Commit fsyncs the log, then writes the
     record to ``index.idx.tmp``, fsyncs it, renames it over ``index.idx``
     and fsyncs the directory; the rename is the commit point.
 
@@ -264,18 +266,15 @@ class FileStore(StoreAdapter):
 
     def _open_files(self, create: bool) -> None:
         schema_path = self.directory / self.SCHEMA_FILE
+        # emit_schema depends only on the model's shape, not on its name
+        schema = emit_schema(self.model).encode("utf-8")
         if schema_path.exists():
-            parsed, diags = parse_schema(schema_path.read_bytes(), self.model.name)
-            if parsed is None:
-                raise StoreError(
-                    f"{schema_path} does not parse: " + "; ".join(str(d) for d in diags)
-                )
-            if schema_hash(parsed) != schema_hash(self.model):
+            if schema_path.read_bytes() != schema:
                 raise ModelMismatchError(
                     f"store at {self.directory} is bound to a different schema"
                 )
         elif create:
-            _write_synced(schema_path, emit_schema(self.model).encode("utf-8"))
+            _write_synced(schema_path, schema)
         else:
             raise FileNotFoundError(f"{schema_path} is missing")
 
@@ -321,11 +320,19 @@ class FileStore(StoreAdapter):
         self._entries = entries = {}
         offset = crc = 0
         fd, tail = self._reader.fileno(), b""
-        while chunk := os.pread(fd, min(_CRC_CHUNK, end - offset - len(tail)), offset + len(tail)):
-            buf = tail + chunk
-            *lines, tail = buf.split(b"\n")
+        while True:
+            self._log_len, self._crc = offset, crc
+            chunk = os.pread(fd, min(_CRC_CHUNK, end - offset - len(tail)), offset + len(tail))
+            complete = bool(chunk)
+            if chunk:
+                buf = tail + chunk
+                *lines, tail = buf.split(b"\n")
+            elif tail:  # a last line cut short; its newline counts, as check may write it
+                buf, lines, tail = tail + b"\n", [tail], b""
+            else:
+                return True
             for line in lines:
-                token = check(line, True, offset)
+                token = check(line, complete, offset)
                 if token is None:
                     return False
                 if token in entries:
@@ -333,16 +340,6 @@ class FileStore(StoreAdapter):
                 entries[token] = (offset, len(line))
                 offset += len(line) + 1
             crc = zlib.crc32(memoryview(buf)[: len(buf) - len(tail)], crc)
-        self._log_len, self._crc = offset, crc
-        if tail:
-            token = check(tail, False, offset)
-            if token is None:
-                return False
-            if token in entries:
-                raise StoreError(f"log at {self.directory} holds duplicate OID {token!r}")
-            entries[token] = (offset, len(tail))
-            self._log_len, self._crc = offset + len(tail) + 1, zlib.crc32(tail + b"\n", crc)
-        return True
 
     def _log_crc(self) -> int:
         """CRC-32 of the whole log, read in fixed chunks."""
@@ -502,34 +499,29 @@ def _require_same_model(*models: ClassModel) -> None:
         raise ModelMismatchError("operation requires identically shaped models")
 
 
-class _Ingest:
-    """One streaming load into a store: canonical lines are stored as they
-    arrive, each with its OID token and reference target tokens, and the
-    destination rolls back unless the closure check passes. Memory is one
-    line in flight plus the set of referenced OID tokens."""
-
-    def __init__(self, handle: StoreAdapter):
-        self.handle = handle
-        self.token = handle.checkpoint()
-        self.pending: set[str] = set()
-        self.stored = 0
-
-    def accept(self, token: str, line: bytes, refs: Iterable[str]) -> None:
-        """Store line, the canonical line of record token, which refers to
-        the OID tokens refs; the duplicate-OID check is _put_line's."""
-        self.handle._put_line(token, line)
-        self.stored += 1
-        self.pending.update(refs)
-
-    def finish(self) -> int:
-        missing = sorted(t for t in self.pending if not self.handle.contains(Oid(t)))
+def _ingest(handle: StoreAdapter, items: Iterable[tuple[str, bytes, Iterable[str]]]) -> int:
+    """Store each (OID token, canonical line, reference target tokens) of
+    items as it arrives, check that every referenced OID is then stored,
+    and commit; return the number of lines stored. On any failure the
+    store is rolled back to where it was. The duplicate-OID check is
+    _put_line's. Memory is one line in flight plus the set of referenced
+    OID tokens."""
+    checkpoint = handle.checkpoint()
+    pending: set[str] = set()
+    stored = 0
+    try:
+        for token, line, refs in items:
+            handle._put_line(token, line)
+            stored += 1
+            pending.update(refs)
+        missing = sorted(t for t in pending if not handle.contains(Oid(t)))
         if missing:
             raise DanglingRefError(missing)
-        self.handle.commit()
-        return self.stored
-
-    def abort(self) -> None:
-        self.handle.rollback(self.token)
+        handle.commit()
+    except (TransodbError, OSError):
+        handle.rollback(checkpoint)
+        raise
+    return stored
 
 
 def import_document(data: bytes, model: ClassModel, handle: StoreAdapter) -> int:
@@ -544,14 +536,7 @@ def import_document(data: bytes, model: ClassModel, handle: StoreAdapter) -> int
     restores the pre-import state; a DocumentError names the document line.
     """
     _require_same_model(model, handle.model)
-    ingest = _Ingest(handle)
-    try:
-        for token, line, refs in accept_document(data, model, handle._layouts):
-            ingest.accept(token, line, refs)
-        return ingest.finish()
-    except (TransodbError, OSError):
-        ingest.abort()
-        raise
+    return _ingest(handle, accept_document(data, model, handle._layouts))
 
 
 def export_to(handle: StoreAdapter, model: ClassModel, out: BinaryIO) -> int:
@@ -593,11 +578,4 @@ def migrate(src: StoreAdapter, dst: StoreAdapter, model: ClassModel) -> int:
     failure.
     """
     _require_same_model(model, src.model, dst.model)
-    ingest = _Ingest(dst)
-    try:
-        for line in src.scan_lines():
-            ingest.accept(line_oid(line), line, line_refs(line))
-        return ingest.finish()
-    except (TransodbError, OSError):
-        ingest.abort()
-        raise
+    return _ingest(dst, ((line_oid(line), line, line_refs(line)) for line in src.scan_lines()))

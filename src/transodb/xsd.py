@@ -308,18 +308,8 @@ class _SubsetParser:
         )
         return True
 
-    def _resolve_prefixed(self, qname: str) -> str | None:
-        """Local name if qname carries a detected XSD prefix, else None."""
-        if ":" in qname:
-            prefix, local = qname.split(":", 1)
-            if prefix in self.xsd_prefixes:
-                return local
-        elif self.default_is_xsd:
-            return qname
-        return None
-
     def _resolve_type(self, field_name: str, type_attr: str) -> ScalarKind | str | None:
-        local = self._resolve_prefixed(type_attr)
+        local = self._xsd_local(type_attr)
         if local is not None:
             if local == "dateTime":
                 self._error(f"element {field_name!r}: xs:dateTime is not supported")

@@ -191,6 +191,33 @@ def test_subtype_basics():
         is_subtype(m, "Person", "Ghost")
 
 
+def test_subtype_of_a_class_with_a_broken_ancestry_is_an_invalid_model():
+    """is_subtype walks the ancestry LayoutIndex.chain walks: a cycle or a
+    missing superclass on sub's ancestry raises, even when sup is met before
+    the break; other classes of the model still answer, and an unknown
+    class is still a KeyError."""
+    m = ClassModel(
+        "m",
+        {
+            "A": cls("A", "B"),
+            "B": cls("B", "A"),
+            "C": cls("C"),
+            "D": cls("D", "A"),
+            "E": cls("E", "Ghost"),
+            "F": cls("F", "C"),
+        },
+    )
+    for sub in ("A", "B", "D", "E"):
+        for sup in ("A", "C", "E", sub):
+            with pytest.raises(InvalidModelError):
+                is_subtype(m, sub, sup)
+    assert is_subtype(m, "F", "C")
+    assert not is_subtype(m, "C", "F")
+    assert not is_subtype(m, "F", "A")
+    with pytest.raises(KeyError):
+        is_subtype(m, "Ghost", "C")
+
+
 def test_subtype_is_a_partial_order_on_small_models():
     for seed in range(30):
         m = random_model(seed)

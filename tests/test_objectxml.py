@@ -11,12 +11,16 @@ from transodb import (
     DocumentError,
     FieldDef,
     HeaderMismatchError,
+    MemStore,
     ObjectRecord,
     Oid,
     RecordError,
     Ref,
     Scalar,
     ScalarKind,
+    TransodbError,
+    export_store,
+    import_document,
     read_canonical,
     schema_hash,
     validate_record,
@@ -30,6 +34,7 @@ from transodb.model import LayoutIndex, ListOf
 from transodb.objectxml import (
     LineAcceptor,
     decode_record_line,
+    escape_attr,
     fnv1a64,
     format_record,
     iter_refs,
@@ -432,6 +437,78 @@ def test_line_acceptor_rejects_leaves_out_of_segment_order(order, canonical):
     layouts = LayoutIndex(model)
     line = b'<o c="D3" id="d">' + b"".join(_D3_LEAVES[i] for i in order) + b"</o>\n"
     assert _agrees(LineAcceptor(layouts), line, model, layouts) is canonical
+
+
+# -- strict import against the document-level oracle ------------------------
+
+
+def _canonical_document(doc: bytes, model) -> bool:
+    """The oracle: read_canonical decodes doc, write_canonical of the
+    decode gives doc back, and every reference target is present."""
+    records = []
+    try:
+        read_canonical(doc, model, records.append)
+        if write_canonical(records, model) != doc:
+            return False
+    except TransodbError:
+        return False
+    layouts = LayoutIndex(model)
+    present = {r.oid for r in records}
+    return all(t in present for r in records for _, _, t in iter_refs(r, layouts))
+
+
+def _document_mutant(rng, doc: bytes, model) -> bytes:
+    """doc with line 2 (the root start tag), one random line or the whole
+    document byte-mutated, line 2's schema name changed, or a line
+    swapped, dropped or repeated."""
+    lines = doc.splitlines(keepends=True)
+    op, i, j = rng.randrange(7), rng.randrange(len(lines)), rng.randrange(len(lines))
+    if op == 0:
+        lines[1] = _mutant(rng, lines[1])
+    elif op == 1:
+        name = escape_attr(model.name).encode()
+        other = rng.choice([name + b"x", name[:-1], name.upper(), b"", b"&amp;" + name])
+        lines[1] = lines[1].replace(b'schema="%s"' % name, b'schema="%s"' % other, 1)
+    elif op == 2:
+        lines[i] = _mutant(rng, lines[i])
+    elif op == 3:
+        lines[i], lines[j] = lines[j], lines[i]
+    elif op == 4:
+        del lines[i]
+    elif op == 5:
+        lines.insert(i, lines[i])
+    else:
+        return _mutant(rng, doc)
+    return b"".join(lines)
+
+
+def test_strict_import_agrees_with_the_document_oracle():
+    """import_document accepts exactly the documents the oracle accepts,
+    and exports each one back byte for byte: over write_canonical documents
+    of random_model graphs and 10,000 seeded mutants of them, line-2
+    mutants included. Anything but a TransodbError fails the test."""
+    rng = random.Random(2020)
+    inputs = accepted = line2 = 0
+    for seed in range(50):
+        model = random_model(seed)
+        doc = write_canonical(random_graph(model, seed, 6).records.values(), model)
+        for k in range(201):
+            data = doc if k == 0 else _document_mutant(rng, doc, model)
+            store = MemStore(model)
+            try:
+                import_document(data, model, store)
+                imported = True
+            except TransodbError:
+                imported = False
+                assert store.count() == 0
+            assert imported == _canonical_document(data, model), data
+            if imported:
+                assert export_store(store, model) == data
+            inputs += k > 0
+            accepted += imported and k > 0
+            line2 += data.split(b"\n")[1:2] != doc.split(b"\n")[1:2]
+    assert inputs >= 10_000 and line2 >= 2_000
+    assert accepted  # some mutants are canonical documents of other graphs
 
 
 def test_escaping_totality_for_nasty_text(person_model):

@@ -121,6 +121,30 @@ def test_open_checks_schema_hash(person_model, family_model, tmp_path):
         FileStore(tmp_path / "s", family_model)
 
 
+@pytest.mark.parametrize("edit", ["reindented", "garbage"])
+def test_open_requires_the_schema_file_the_store_wrote(edit, family_model, tmp_path):
+    """schema.xsd must be the bytes emit_schema wrote at creation: a
+    same-model XSD laid out otherwise, or one that does not parse, fails
+    the open with ModelMismatchError and leaves the log and the commit
+    record as they were."""
+    store = FileStore(tmp_path / "s", family_model)
+    import_document(write_canonical([person("p1"), person("p2")], family_model), family_model, store)
+    store.close()
+    schema_path = tmp_path / "s" / "schema.xsd"
+    if edit == "reindented":
+        schema = schema_path.read_bytes().replace(b"  <", b"\t<").replace(b"/>", b" />")
+        parsed, _ = transodb.parse_schema(schema, family_model.name)
+        assert schema_hash(parsed) == schema_hash(family_model)
+    else:
+        schema = b"not a schema <"
+    schema_path.write_bytes(schema)
+    before = {name: (tmp_path / "s" / name).read_bytes() for name in ("objects.log", "index.idx")}
+
+    with pytest.raises(ModelMismatchError):
+        FileStore(tmp_path / "s", family_model)
+    assert {name: (tmp_path / "s" / name).read_bytes() for name in before} == before
+
+
 def test_open_without_create_requires_layout(person_model, tmp_path):
     with pytest.raises(FileNotFoundError):
         FileStore(tmp_path / "missing", person_model, create=False)
