@@ -340,6 +340,9 @@ class FileStore(StoreAdapter):
                 entries[token] = (offset, len(line))
                 offset += len(line) + 1
             crc = zlib.crc32(memoryview(buf)[: len(buf) - len(tail)], crc)
+            if not complete:  # the cut line was the last; nothing follows it
+                self._log_len, self._crc = offset, crc
+                return True
 
     def _log_crc(self) -> int:
         """CRC-32 of the whole log, read in fixed chunks."""

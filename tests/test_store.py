@@ -223,6 +223,33 @@ def test_torn_log_tail_is_dropped_on_rebuild(family_model, tmp_path, torn_tail):
     reopened.close()
 
 
+@pytest.mark.parametrize("keep_index", [False, True])
+def test_lost_final_newline_is_restored_on_open(family_model, tmp_path, keep_index):
+    store = FileStore(tmp_path / "s", family_model)
+    store.put(person("p1"))
+    store.put(person("p2"))
+    store.commit()
+    store.close()
+
+    log = tmp_path / "s" / "objects.log"
+    intact = log.read_bytes()
+    log.write_bytes(intact[:-1])  # the last record landed, its newline did not
+    if not keep_index:
+        os.remove(tmp_path / "s" / "index.idx")
+
+    reopened = FileStore(tmp_path / "s", family_model)
+    assert reopened.count() == 2
+    assert log.read_bytes() == intact
+    assert records_equal(reopened.get(Oid("p2")), person("p2"))
+    reopened.put(person("p3"))
+    reopened.commit()
+    reopened.close()
+
+    again = FileStore(tmp_path / "s", family_model)
+    assert again.count() == 3
+    again.close()
+
+
 def _open_paths() -> list[str]:
     """Paths of the files this process holds open."""
     paths = []
