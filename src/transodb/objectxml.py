@@ -7,11 +7,10 @@ reproduces the legacy multi-file encoding (per-object storage details and
 repeated type descriptors) and exists only as the size-comparison baseline.
 
 Because the form is canonical, a record line of a data document and a line
-of a FileStore log are the same bytes, so one decoder reads both:
-read_canonical runs it over a whole document, parse_record_line over one
-line. The decoder is lenient: it accepts any well-formed spelling of a
-valid record (character references, ``<f></f>``, ``1e0``, reordered
-attributes).
+of a FileStore log are the same bytes, and the expat decoder reads both:
+read_canonical over a whole document, decode_record_line over one line.
+It is lenient: it accepts any well-formed spelling of a valid record
+(character references, ``<f></f>``, ``1e0``, reordered attributes).
 
 Import and the FileStore log rebuild are strict instead: they take only
 the bytes CanonicalWriter writes. LineAcceptor checks a record line
@@ -20,9 +19,9 @@ class's own fields on first use, plus the checks a regex cannot make
 (int64 range, float repr, UTF-8 and XML character ranges);
 accept_document walks a whole document with it and also checks the
 declaration, the root tag (the model's own name and schema hash, byte for
-byte), OID order and the footer.
-Neither builds an ObjectRecord. Expat decodes a rejected line only to
-explain the rejection.
+byte), OID order and the footer. Expat decodes a rejected line only to
+explain the rejection. A store's get and scan build an ObjectRecord
+without it: LineAcceptor.record reads an accepted line by its grammar.
 
 Writers and readers keep no shared mutable state, so different documents
 may be processed concurrently; a single read_canonical call is
@@ -258,6 +257,18 @@ _SCALAR_TEXT = {
     ScalarKind.FLOAT64: rb"-?\d[\d.e+-]*",
 }
 _AMP_FAULT = re.compile(rb"&(?!(?:amp|lt|gt|#13|#10);)")
+_ENTITIES = {entity: chr(code) for code, entity in _TEXT_ESCAPES.items()}
+_ENTITY_RE = re.compile("|".join(_ENTITIES))
+# A leaf of an accepted line, where every '<' opens a tag and the start tag
+# matches no leaf: its name, then a scalar's text or a reference's token.
+_LEAF_RE = re.compile(r"<(\w+)(?:>([^<]*)</\w+>|" + _LINE_REF_RE.pattern.decode() + "|/>)", re.ASCII)
+# a scalar leaf's text to its value, escape_text undone on text (whose only
+# '&'s start its entities); a reference leaf's token makes an Oid
+_CONVERTERS = {
+    Scalar(ScalarKind.STR): lambda t: _ENTITY_RE.sub(lambda m: _ENTITIES[m[0]], t) if "&" in t else t,
+    Scalar(ScalarKind.BOOL): "true".__eq__, Scalar(ScalarKind.INT64): int,
+    Scalar(ScalarKind.FLOAT64): float,
+}
 
 
 class LineAcceptor:
@@ -277,7 +288,8 @@ class LineAcceptor:
     def __init__(self, layouts: LayoutIndex):
         self._layouts = layouts
         self._segments: dict[str, re.Pattern | None] = {}  # None: no own fields
-        # class name -> (class name, segments, long int leaves, float leaves, has refs)
+        # class name -> (class name, segments, long int leaves, float leaves,
+        # has refs, decode plan: field name -> (is list, converter))
         self._classes: dict[bytes, tuple | None] = {}
 
     def accept(self, line: bytes) -> tuple[str, str, list[str]] | None:
@@ -292,7 +304,7 @@ class LineAcceptor:
             compiled = self._classes[head[1]] = self._compile(head[1].decode("ascii"))
         if compiled is None:
             return None
-        class_name, segments, long_ints, floats, has_refs = compiled
+        class_name, segments, long_ints, floats, has_refs, _ = compiled
         pos = head.end()
         for segment in segments:
             match = segment.match(line, pos)
@@ -319,6 +331,22 @@ class LineAcceptor:
                 return None
         return class_name, head[2].decode("ascii"), line_refs(line) if has_refs else []
 
+    def record(self, line: bytes) -> ObjectRecord | None:
+        """decode_record_line's record of a line accept takes, or None: one
+        findall over the leaves, each converted by its class's plan."""
+        accepted = self.accept(line)
+        if accepted is None:
+            return None
+        class_name, token, _ = accepted
+        plan, values = self._classes[class_name.encode()][5], {}
+        for name, text, ref in _LEAF_RE.findall(line.decode("utf-8")):
+            is_list, convert = plan[name]
+            if is_list:
+                values.setdefault(name, []).append(convert(text or ref))
+            else:
+                values[name] = convert(text or ref)
+        return ObjectRecord(class_name, Oid(token), values)
+
     def _compile(self, class_name: str) -> tuple | None:
         if class_name not in self._layouts.model.classes:
             return None
@@ -329,6 +357,8 @@ class LineAcceptor:
             _leaves_of(layout, ScalarKind.INT64, rb"-?\d{19,}"),
             _leaves_of(layout, ScalarKind.FLOAT64, rb"[^<]*"),
             any(isinstance(_element_kind(f), Ref) for f in layout),
+            {f.name: (isinstance(f.kind, ListOf), _CONVERTERS.get(_element_kind(f), Oid))
+             for f in layout},
         )
 
     def _segment(self, class_name: str) -> re.Pattern | None:

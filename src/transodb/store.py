@@ -4,16 +4,17 @@ import/export/migrate operations built on it.
 A store holds canonical record lines (``format_record`` plus a newline,
 UTF-8) keyed by OID token; records are a decoded view of them. The
 adapter base writes the public surface once: put (validate, format, no
-overwrite), get and scan (decode), contains, count, and scan_lines in
-byte-wise OID order. A backend supplies only line storage: append a line,
-read one back, commit, checkpoint/rollback (so imports stay atomic on any
-backend) and close. MemStore is a plain in-process map of lines;
-FileStore is an append-only record log plus a one-line commit record,
-bound to its model by a schema.xsd that must be emit_schema's bytes for
-it; open reads the committed prefix once for its OIDs and CRC-32, and
-rebuilds from the whole log when the record does not match.
-import_document takes only canonical documents and, like migrate, stores
-their lines as they are through one load that rolls back on any failure.
+overwrite), get and scan (LineAcceptor.record: accept, then read by the
+grammar), contains, count, and scan_lines in byte-wise OID order. A
+backend supplies only line storage: append a line, read one back,
+commit, checkpoint/rollback (so imports stay atomic on any backend) and
+close. MemStore is a plain in-process map of lines; FileStore is an
+append-only record log plus a one-line commit record, bound to its model
+by a schema.xsd that must be emit_schema's bytes for it; open reads the
+committed prefix once for its OIDs and CRC-32, and rebuilds from the
+whole log when the record does not match. import_document takes only
+canonical documents and, like migrate, stores their lines as they are
+through one load that rolls back on any failure.
 
 One handle tolerates a single writing thread or any number of reading
 threads; concurrent writers to one FileStore directory are rejected via
@@ -75,19 +76,21 @@ class StoreLockedError(StoreError):
 class StoreAdapter(ABC):
     """Behavioral contract every backend implements.
 
-    The bound model is fixed at open; put validates a record against it
-    and stores its canonical line, so the caller's object is copied and
-    get and scan return a fresh decode. scan yields records in byte-wise
-    OID order regardless of insertion order, and after commit reflects
-    every accepted put. A backend keeps one entry per stored OID token in
-    ``_entries`` (whatever ``_append`` returned) and reads the line back
-    with ``_line``.
+    The bound model is fixed at open; put validates a record against it and
+    stores its canonical line, so the caller's object is copied. get and
+    scan read a fresh record from a stored line that the store's
+    LineAcceptor, built on first use, accepts, and raise StoreError on any
+    other. scan yields records in byte-wise OID order regardless of
+    insertion order, and after commit reflects every accepted put. A backend
+    keeps one entry per stored OID token in ``_entries`` (whatever
+    ``_append`` returned) and reads the line back with ``_line``.
     """
 
     def __init__(self, model: ClassModel):
         self.model = model
         self._layouts = LayoutIndex(model)
         self._entries: dict = {}
+        self._acceptor: LineAcceptor | None = None  # built by the first get or scan
 
     def put(self, record: ObjectRecord) -> None:
         validate_record(record, self.model, self._layouts)
@@ -102,14 +105,20 @@ class StoreAdapter(ABC):
     def get(self, oid: Oid) -> ObjectRecord | None:
         if oid.token not in self._entries:
             return None
-        return decode_record_line(self._line(oid.token), self.model, self._layouts)
+        return self._record(self._line(oid.token))
 
     def contains(self, oid: Oid) -> bool:
         return oid.token in self._entries
 
     def scan(self) -> Iterator[ObjectRecord]:
-        for line in self.scan_lines():
-            yield decode_record_line(line, self.model, self._layouts)
+        return map(self._record, self.scan_lines())
+
+    def _record(self, line: bytes) -> ObjectRecord:
+        self._acceptor = self._acceptor or LineAcceptor(self._layouts)
+        record = self._acceptor.record(line)
+        if record is None:
+            raise StoreError(f"stored line of record {line_oid(line)!r} is not canonical")
+        return record
 
     def scan_lines(self) -> Iterator[bytes]:
         """The canonical record lines, each ending in a newline, in the
@@ -497,8 +506,8 @@ def _names_file(path: Path, fd: int) -> bool:
 
 
 def _require_same_model(*models: ClassModel) -> None:
-    dumps = {dump_model(m) for m in models}
-    if len(dumps) > 1:
+    # one model object, as the CLI passes everywhere, needs no dumps
+    if any(m is not models[0] for m in models) and len({dump_model(m) for m in models}) > 1:
         raise ModelMismatchError("operation requires identically shaped models")
 
 

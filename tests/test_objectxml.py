@@ -259,10 +259,13 @@ def _canonical_decode(line, model, layouts):
 
 
 def _agrees(acceptor, line, model, layouts) -> bool:
-    """Assert the acceptor and the oracle agree on line; return the verdict."""
+    """Assert the acceptor and the oracle agree on line, and that the
+    acceptor's record is the oracle's, value types and order included;
+    return the verdict."""
     want = _canonical_decode(line, model, layouts)
     got = acceptor.accept(line)
     assert (got is None) == (want is None), line
+    assert repr(acceptor.record(line)) == repr(want), line
     if want is not None:
         refs = [t.token for _, _, t in iter_refs(want, layouts)]
         assert got == (want.class_name, want.oid.token, refs), line

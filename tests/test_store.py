@@ -420,6 +420,29 @@ def test_swapped_log_lines_fail_reads(read, family_model, tmp_path):
             read(store, family_model)
 
 
+@pytest.mark.parametrize("kind", ["mem", "file"])
+@pytest.mark.parametrize(
+    "read",
+    [lambda store: store.get(Oid("e1")), lambda store: list(store.scan())],
+    ids=["get", "scan"],
+)
+def test_stored_line_edited_off_canonical_fails_reads(read, kind, family_model, tmp_path):
+    # 1e0 still frames, and a lenient decode reads it as 1.0; it is not the
+    # canonical line of that record, so reads refuse it
+    make, _ = make_factories(kind, tmp_path, family_model)
+    store = make()
+    store.put(ObjectRecord("Employee", Oid("e1"), {"name": "A", "age": 3, "salary": 1.0}))
+    store.commit()
+    if kind == "file":
+        log = store.directory / "objects.log"
+        log.write_bytes(log.read_bytes().replace(b">1.0<", b">1e0<"))
+    else:
+        store._entries["e1"] = store._entries["e1"].replace(b">1.0<", b">1e0<")
+    with pytest.raises(StoreError, match="record 'e1' is not canonical"):
+        read(store)
+    store.close()
+
+
 def test_rolled_back_import_then_commit_reopens_without_rebuild(family_model, tmp_path, monkeypatch):
     store = FileStore(tmp_path / "s", family_model)
     import_document(write_canonical([person("keep")], family_model), family_model, store)
@@ -804,6 +827,36 @@ def test_concurrent_readers_share_one_handle(family_model, tmp_path):
     assert not errors
     assert len(results) == 4
     store.close()
+
+
+def test_concurrent_gets_on_a_fresh_handle(family_model, tmp_path):
+    """Four threads read every record through one just-opened handle, so
+    they race to build its acceptor and compile each class."""
+    import threading
+
+    records = [person(f"p{i:02d}", age=i, friends=[Oid("p00")]) for i in range(20)]
+    records += [ObjectRecord("Employee", Oid(f"e{i:02d}"), {"name": "B&<", "age": i, "salary": i / 4})
+                for i in range(20)]
+    with FileStore(tmp_path / "s", family_model) as store:
+        for record in records:
+            store.put(record)
+        store.commit()
+
+    store = FileStore(tmp_path / "s", family_model)
+    start = threading.Barrier(4)
+    results = []
+
+    def reader():
+        start.wait()
+        results.append([store.get(r.oid) for r in records])
+
+    threads = [threading.Thread(target=reader) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    store.close()
+    assert results == [records] * 4
 
 
 def test_schema_file_written_at_creation(person_model, tmp_path):
