@@ -288,9 +288,10 @@ class LineAcceptor:
     def __init__(self, layouts: LayoutIndex):
         self._layouts = layouts
         self._segments: dict[str, re.Pattern | None] = {}  # None: no own fields
-        # class name -> (class name, segments, long int leaves, float leaves,
-        # has refs, decode plan: field name -> (is list, converter))
+        # class name -> (class name, segments, long int leaves, float leaves, has refs)
         self._classes: dict[bytes, tuple | None] = {}
+        # class name -> decode plan: field name -> (is list, converter); built by record
+        self._plans: dict[str, dict] = {}
 
     def accept(self, line: bytes) -> tuple[str, str, list[str]] | None:
         """(class name, OID token, reference target tokens in iter_refs
@@ -304,7 +305,7 @@ class LineAcceptor:
             compiled = self._classes[head[1]] = self._compile(head[1].decode("ascii"))
         if compiled is None:
             return None
-        class_name, segments, long_ints, floats, has_refs, _ = compiled
+        class_name, segments, long_ints, floats, has_refs = compiled
         pos = head.end()
         for segment in segments:
             match = segment.match(line, pos)
@@ -338,7 +339,12 @@ class LineAcceptor:
         if accepted is None:
             return None
         class_name, token, _ = accepted
-        plan, values = self._classes[class_name.encode()][5], {}
+        if (plan := self._plans.get(class_name)) is None:
+            plan = self._plans[class_name] = {
+                f.name: (isinstance(f.kind, ListOf), _CONVERTERS.get(_element_kind(f), Oid))
+                for f in self._layouts.layout(class_name)
+            }
+        values = {}
         for name, text, ref in _LEAF_RE.findall(line.decode("utf-8")):
             is_list, convert = plan[name]
             if is_list:
@@ -357,8 +363,6 @@ class LineAcceptor:
             _leaves_of(layout, ScalarKind.INT64, rb"-?\d{19,}"),
             _leaves_of(layout, ScalarKind.FLOAT64, rb"[^<]*"),
             any(isinstance(_element_kind(f), Ref) for f in layout),
-            {f.name: (isinstance(f.kind, ListOf), _CONVERTERS.get(_element_kind(f), Oid))
-             for f in layout},
         )
 
     def _segment(self, class_name: str) -> re.Pattern | None:

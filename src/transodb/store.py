@@ -9,12 +9,12 @@ grammar), contains, count, and scan_lines in byte-wise OID order. A
 backend supplies only line storage: append a line, read one back,
 commit, checkpoint/rollback (so imports stay atomic on any backend) and
 close. MemStore is a plain in-process map of lines; FileStore is an
-append-only record log plus a one-line commit record, bound to its model
-by a schema.xsd that must be emit_schema's bytes for it; open reads the
-committed prefix once for its OIDs and CRC-32, and rebuilds from the
-whole log when the record does not match. import_document takes only
-canonical documents and, like migrate, stores their lines as they are
-through one load that rolls back on any failure.
+append-only log of record lines and commit marks, bound to its model by
+a schema.xsd that must be emit_schema's bytes for it; open reads the log
+once, keeps what its last mark commits, and rebuilds from the log when
+that mark does not check out. import_document takes only canonical
+documents and, like migrate, stores their lines as they are through one
+load that rolls back on any failure.
 
 One handle tolerates a single writing thread or any number of reading
 threads; concurrent writers to one FileStore directory are rejected via
@@ -29,6 +29,7 @@ import os
 import re
 import zlib
 from abc import ABC, abstractmethod
+from itertools import islice
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator
 
@@ -189,28 +190,31 @@ class FileStore(StoreAdapter):
     """Directory-backed store.
 
     Layout: ``schema.xsd`` (``emit_schema`` of the bound model, which open
-    compares byte for byte), ``objects.log`` (one canonical record line per
-    put, append-only, insertion order), ``index.idx`` (the commit record)
-    and ``LOCK``. The commit record is one line: ``#``, the CRC-32 of the
-    committed log prefix as 8 lowercase hex digits, a space and the length
-    of that prefix. Commit fsyncs the log, then writes the
-    record to ``index.idx.tmp``, fsyncs it, renames it over ``index.idx``
-    and fsyncs the directory; the rename is the commit point.
+    compares byte for byte), ``objects.log`` (append-only: a canonical
+    record line per put and a mark line per commit), ``index.idx`` and
+    ``LOCK``. A mark is ``#``, the CRC-32 of the log before it as 8
+    lowercase hex digits, a space and that length. A new log starts with
+    ``#00000000 0``, and only its creation fsyncs the directory. Commit
+    appends a mark, if anything was put since the last, and syncs the log:
+    the mark is the commit point. ``index.idx``, the same line for the
+    whole log, is written unsynced at close and read by nothing here.
 
-    Open trusts the record if it parses, names at most the whole log, and
-    one pass over that prefix frames every line and gives the record's
-    CRC-32; the log is then truncated to the prefix, dropping what was
-    never committed. Otherwise the whole log is rebuilt with LineAcceptor,
-    which rejects as corruption any line that is not the canonical line of
-    a valid record, and committed. So every line an entry points at is a
-    validated canonical line; ``_line`` hands one out only after checking
-    that it frames the record its key names, and ``scan_lines`` ends by
-    checking the CRC-32 of the log again, so an edit to the log while the
-    store is open fails an export or a migrate instead of being copied.
+    Open frames every line in one pass and checks the last mark, whose
+    CRC-32 covers every byte before it. If it checks out and every line
+    before it framed, the log is truncated after it (a mark that lacks
+    only its newline gets it back). Otherwise the log up to that mark, or
+    all of a log with none (written before marks), is rebuilt with
+    LineAcceptor, which rejects as corruption any record line that is not
+    the canonical line of a valid record, and committed. So every line an
+    entry points at is a validated canonical line; ``_line`` hands one out
+    only after checking that it frames the record its key names, and
+    ``scan_lines`` ends by checking the CRC-32 of the log again, so an
+    edit to the log while the store is open fails an export or a migrate
+    instead of being copied.
 
-    Checkpoint is the log length and CRC; as the log is append-only,
-    rollback truncates the log there and drops the entries at or past that
-    length.
+    Checkpoint is the log length, CRC and last mark; as the log is
+    append-only, rollback truncates the log there and drops the entries at
+    or past that length.
 
     An open store holds an exclusive flock on ``LOCK``, which rejects
     concurrent opens of one directory; the kernel drops it when the
@@ -232,6 +236,7 @@ class FileStore(StoreAdapter):
         self._reader: BinaryIO | None = None
         self._log_len = 0
         self._crc = 0  # CRC-32 of the first _log_len log bytes
+        self._marked: int | None = None  # log length at the last mark; set once open succeeds
         self._dirty_reads = False
 
         if not self.directory.exists():
@@ -283,7 +288,10 @@ class FileStore(StoreAdapter):
                     f"store at {self.directory} is bound to a different schema"
                 )
         elif create:
-            _write_synced(schema_path, schema)
+            with open(schema_path, "wb") as fh:
+                fh.write(schema)
+                fh.flush()
+                os.fsync(fh.fileno())
         else:
             raise FileNotFoundError(f"{schema_path} is missing")
 
@@ -295,6 +303,8 @@ class FileStore(StoreAdapter):
     def close(self) -> None:
         if self._log is not None:
             self._log.flush()
+            if self._marked is not None:
+                (self.directory / self.INDEX_FILE).write_bytes(self._mark())
             self._log.close()
             self._log = None
         if self._reader is not None:
@@ -302,32 +312,42 @@ class FileStore(StoreAdapter):
             self._reader = None
         self._release_lock()
 
-    # -- commit record -----------------------------------------------------
+    # -- marks -------------------------------------------------------------
 
     def _load_index(self, size: int) -> None:
-        """Set the entries and the log CRC from the log, size bytes, as the
-        class docstring says. A new store has no commit record, so its
-        rebuild commits once the directory holds all three files."""
-        try:
-            record = _COMMIT_RECORD.fullmatch((self.directory / self.INDEX_FILE).read_bytes())
-        except FileNotFoundError:
-            record = None
-        if record and int(record[2]) <= size and self._read_log(int(record[2]), _framed_oid):
-            if self._crc == int(record[1], 16):
-                if self._log_len < size:  # drop what was never committed
-                    self._log.truncate(self._log_len)
-                return
-        self._rebuild_index(size)
+        """Set the entries, the log CRC and the last mark from the log,
+        size bytes, as the class docstring says."""
+        mark = self._read_log(size, _framed_oid)
+        if mark and mark[3]:
+            self._log_len, self._crc, kept, _ = mark
+            self._marked = self._log_len
+            if len(self._entries) > kept:
+                self._entries = dict(islice(self._entries.items(), kept))
+        else:
+            self._rebuild_index(mark[0] if mark else size)
+        if self._log_len < size:  # drop what was never committed
+            self._log.truncate(self._log_len)
         self.commit()
+        if size == 0:  # a new log: make the directory's new names durable
+            fd = os.open(self.directory, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
 
-    def _read_log(self, end: int, check: Callable[[bytes, bool, int], str | None]) -> bool:
-        """Whether check(line, complete, offset) gave an OID token for every
-        line of the log's first end bytes, each read without its newline;
-        complete is false for a last line cut short, and a repeated token
-        raises. On success, or a stop at a cut line, _entries, _log_len and
-        _crc describe the lines taken."""
+    def _read_log(self, end: int, check: Callable[[bytes, bool, int], str | None]) -> tuple | None:
+        """Read the log's first end bytes, each line without its newline.
+        check(line, complete, offset) gives a line's OID token, or None for
+        a mark, which is noted, or for a line to skip; complete is false
+        for a last line cut short, and a repeated token raises. _entries,
+        _log_len and _crc then describe the lines read. Returns the last
+        mark, or None, as (its end, the CRC-32 to there, the entries before
+        it, whether its CRC-32 and length are the log's before it and no
+        line there was skipped); a cut mark counts only if so, and then
+        gets its newline back."""
         self._entries = entries = {}
         offset = crc = 0
+        mark, skipped = None, False
         fd, tail = self._reader.fileno(), b""
         while True:
             self._log_len, self._crc = offset, crc
@@ -336,22 +356,36 @@ class FileStore(StoreAdapter):
             if chunk:
                 buf = tail + chunk
                 *lines, tail = buf.split(b"\n")
-            elif tail:  # a last line cut short; its newline counts, as check may write it
+            elif tail:  # a last line cut short; its newline counts, as it may be written
                 buf, lines, tail = tail + b"\n", [tail], b""
             else:
-                return True
+                return mark
+            view, base, folded = memoryview(buf), offset, 0  # crc covers buf[:folded]
             for line in lines:
                 token = check(line, complete, offset)
-                if token is None:
-                    return False
-                if token in entries:
-                    raise StoreError(f"log at {self.directory} holds duplicate OID {token!r}")
-                entries[token] = (offset, len(line))
+                if token is not None:
+                    if token in entries:
+                        raise StoreError(f"log at {self.directory} holds duplicate OID {token!r}")
+                    entries[token] = (offset, len(line))
+                elif head := _MARK.fullmatch(line):
+                    crc, folded = zlib.crc32(view[folded : offset - base], crc), offset - base
+                    checks = not skipped and int(head[2]) == offset and int(head[1], 16) == crc
+                    if not (complete or checks):
+                        break
+                    if not complete:
+                        self._log.write(b"\n")
+                        self._log.flush()
+                    end_crc = zlib.crc32(line + b"\n", crc)
+                    mark = (offset + len(line) + 1, end_crc, len(entries), checks)
+                elif not complete:
+                    break
+                else:
+                    skipped = True
                 offset += len(line) + 1
-            crc = zlib.crc32(memoryview(buf)[: len(buf) - len(tail)], crc)
+            crc = zlib.crc32(view[folded : offset - base], crc)
             if not complete:  # the cut line was the last; nothing follows it
                 self._log_len, self._crc = offset, crc
-                return True
+                return mark
 
     def _log_crc(self) -> int:
         """CRC-32 of the whole log, read in fixed chunks."""
@@ -362,28 +396,27 @@ class FileStore(StoreAdapter):
         return crc
 
     def _rebuild_index(self, size: int) -> None:
-        """Recover the entries and the log CRC from the whole log, size bytes.
+        """Recover the entries and the log CRC from its first size bytes.
 
-        Every line must be accepted by LineAcceptor, that is, be the
-        canonical line of a valid record; no line is decoded unless it is
-        rejected. A final line without a newline is a torn append from a
-        crash: if it is complete once the newline is added, the newline is
-        written, and if it does not even decode, it is dropped and the log
-        truncated. Any other rejected line, including one that decodes but
-        is not its record's canonical form, is corruption and raises. The
-        log carries no commit marks, so every line it holds is taken, those
-        past the last commit included."""
+        Every line but a mark must be accepted by LineAcceptor, that is,
+        be the canonical line of a valid record; no line is decoded unless
+        it is rejected. A final line without a newline is a torn append
+        from a crash: if it is complete once the newline is added, the
+        newline is written, and if it does not even decode, it is left out
+        for the caller to truncate. Any other rejected line, including one
+        that decodes but is not its record's canonical form, is corruption
+        and raises."""
         acceptor = LineAcceptor(self._layouts)
 
         def accepted(line: bytes, complete: bool, offset: int) -> str | None:
             found = acceptor.accept(line + b"\n")
             if found is None:
+                if _MARK.fullmatch(line):
+                    return None
                 try:
                     decode_record_line(line, self.model, self._layouts)
                 except DocumentError:
                     if not complete:
-                        self._log.flush()
-                        self._log.truncate(offset)
                         return None
                     raise StoreError(
                         f"log at {self.directory} is corrupt at byte {offset}"
@@ -448,23 +481,22 @@ class FileStore(StoreAdapter):
             raise StoreError(f"log at {self.directory} changed while the store was open")
 
     def commit(self) -> None:
-        self._log.flush()
-        os.fsync(self._log.fileno())
-        path = self.directory / self.INDEX_FILE
-        tmp = path.with_suffix(".idx.tmp")
-        _write_synced(tmp, b"#%08x %d\n" % (self._crc, self._log_len))
-        os.replace(tmp, path)
-        fd = os.open(self.directory, os.O_RDONLY)
-        try:
-            os.fsync(fd)  # makes the rename durable
-        finally:
-            os.close(fd)
+        if self._marked == self._log_len:
+            return  # nothing put since the last mark
+        self._append(self._mark())
+        self._flush_puts()
+        getattr(os, "fdatasync", os.fsync)(self._log.fileno())
+        self._marked = self._log_len
+
+    def _mark(self) -> bytes:
+        """The mark line of the log as it stands."""
+        return b"#%08x %d\n" % (self._crc, self._log_len)
 
     def checkpoint(self) -> object:
-        return (self._log_len, self._crc)
+        return (self._log_len, self._crc, self._marked)
 
     def rollback(self, token: object) -> None:
-        log_len, crc = token
+        log_len, crc, self._marked = token
         self._log.flush()
         self._log.truncate(log_len)
         self._log.seek(log_len)
@@ -476,25 +508,18 @@ class FileStore(StoreAdapter):
         self._dirty_reads = True
 
 
-# the commit record: CRC-32 of the committed log prefix, then its length
-_COMMIT_RECORD = re.compile(rb"#([0-9a-f]{8}) (0|[1-9][0-9]*)\n")
+# a mark line without its newline: the CRC-32 of the log before it, then its length
+_MARK = re.compile(rb"#([0-9a-f]{8}) (0|[1-9][0-9]*)")
 
 
 def _framed_oid(line: bytes, complete: bool, offset: int) -> str | None:
-    """The OID token of a committed log line that starts with a start tag
-    and ends with ``</o>`` and a newline; the commit CRC vouches for the rest."""
+    """The OID token of a log line that starts with a start tag and ends
+    with ``</o>`` and a newline; the CRC of a later mark vouches for the rest."""
     return line_oid(line) if complete and line.endswith(b"</o>") else None
 
 
 def _encode_line(record: ObjectRecord, layouts: LayoutIndex) -> bytes:
     return (format_record(record, layouts) + "\n").encode("utf-8")
-
-
-def _write_synced(path: Path, data: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
 
 
 def _names_file(path: Path, fd: int) -> bool:

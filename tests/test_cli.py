@@ -1,5 +1,7 @@
 """End-to-end command tests: exit codes, outputs, and no partial files."""
 
+import zlib
+
 import pytest
 
 from transodb import (
@@ -245,8 +247,11 @@ def test_migrate_file_to_file(bench_xsd, tmp_path, capsys):
     assert "500 records" in capsys.readouterr().out
     with FileStore(tmp_path / "src", model) as src, FileStore(tmp_path / "dst", model) as dst:
         assert export_store(dst, model) == export_store(src, model)
-        # the lines are copied as they are, in OID order
-        assert (tmp_path / "dst" / "objects.log").read_bytes() == b"".join(src.scan_lines())
+        # the lines are copied as they are, in OID order, between the new
+        # log's first mark and the migrate's commit mark
+        body = b"#00000000 0\n" + b"".join(src.scan_lines())
+        mark = b"#%08x %d\n" % (zlib.crc32(body), len(body))
+        assert (tmp_path / "dst" / "objects.log").read_bytes() == body + mark
 
 
 def test_migrate_collision_leaves_destination_unchanged(person_xsd, tmp_path, capsys):

@@ -34,7 +34,8 @@ from transodb import (
 from transodb.bench import bench_model
 from transodb.conformance import check_adapter_contract, random_graph, random_model
 from transodb.graph import records_equal
-from transodb.objectxml import line_oid
+from transodb.model import LayoutIndex
+from transodb.objectxml import format_record
 
 from conftest import person, stream_through_file_store
 
@@ -161,8 +162,8 @@ def test_index_rebuild_after_deletion(family_model, tmp_path):
     os.remove(tmp_path / "s" / "index.idx")
     reopened = FileStore(tmp_path / "s", family_model)
     assert export_store(reopened, family_model) == before == doc
-    assert (tmp_path / "s" / "index.idx").exists()  # repaired on open
     reopened.close()
+    assert (tmp_path / "s" / "index.idx").exists()  # written again at close
 
 
 def test_index_rebuild_after_staleness(family_model, tmp_path):
@@ -233,7 +234,7 @@ def test_lost_final_newline_is_restored_on_open(family_model, tmp_path, keep_ind
 
     log = tmp_path / "s" / "objects.log"
     intact = log.read_bytes()
-    log.write_bytes(intact[:-1])  # the last record landed, its newline did not
+    log.write_bytes(intact[:-1])  # the last mark landed, its newline did not
     if not keep_index:
         os.remove(tmp_path / "s" / "index.idx")
 
@@ -269,8 +270,9 @@ def test_mid_log_corruption_raises(family_model, tmp_path):
     store.close()
 
     log = tmp_path / "s" / "objects.log"
-    lines = log.read_bytes().splitlines(keepends=True)
-    log.write_bytes(b"garbage not xml\n" + lines[1])
+    data = log.read_bytes()
+    first, p1, p2, mark = data.splitlines(keepends=True)
+    log.write_bytes(data.replace(p1, b"garbage not xml\n"))
     os.remove(tmp_path / "s" / "index.idx")
 
     with pytest.raises(StoreError) as failed:  # its traceback keeps the half-open store alive
@@ -412,10 +414,10 @@ def test_swapped_log_lines_fail_reads(read, family_model, tmp_path):
     # the entries of an open store point at log offsets; a line moved under
     # them is caught by _line's framing check, before the log CRC check
     log = _two_committed_people(tmp_path / "s", family_model)
-    p1, p2 = log.read_bytes().splitlines(keepends=True)
+    first, p1, p2, mark = log.read_bytes().splitlines(keepends=True)
     assert len(p1) == len(p2)
     with FileStore(tmp_path / "s", family_model) as store:
-        log.write_bytes(p2 + p1)
+        log.write_bytes(first + p2 + p1 + mark)
         with pytest.raises(StoreError, match="does not frame record 'p1'"):
             read(store, family_model)
 
@@ -468,79 +470,255 @@ def _forbid_rebuild(monkeypatch):
     monkeypatch.setattr("transodb.store.LineAcceptor", no_acceptor)
 
 
-def _commit_record(log: bytes) -> bytes:
+def _mark(log: bytes) -> bytes:
+    """The mark line that commits log: its CRC-32, then its length."""
     return b"#%08x %d\n" % (zlib.crc32(log), len(log))
 
 
-def _old_format_index(log: bytes) -> bytes:
-    """The index an older version wrote: the log CRC, then OID, offset and
-    length per line."""
-    index, offset = b"#%08x\n" % zlib.crc32(log), 0
-    for line in log.splitlines(keepends=True):
-        index += b"%s\t%d\t%d\n" % (line_oid(line).encode(), offset, len(line) - 1)
-        offset += len(line)
-    return index
+def _count_rebuilds(monkeypatch) -> list:
+    """A list that grows by one each time a rebuild builds its LineAcceptor."""
+    built, real = [], transodb.store.LineAcceptor
+    monkeypatch.setattr(
+        "transodb.store.LineAcceptor", lambda layouts: built.append(1) or real(layouts)
+    )
+    return built
 
 
 @pytest.mark.parametrize(
-    "bad_record",
+    "bad_mark",
     [
-        lambda log: _commit_record(log + b"\n"),
         lambda log: b"#%08x %d\n" % (zlib.crc32(log) ^ 1, len(log)),
-        lambda log: _commit_record(log[:-3]),
-        _old_format_index,
-        lambda log: _commit_record(log)[:-1],
+        lambda log: _mark(log + b"\n"),
+        lambda log: _mark(log[:-3]),
     ],
-    ids=["length-past-log-end", "wrong-crc", "prefix-ends-mid-line", "old-format", "no-newline"],
+    ids=["wrong-crc", "length-past-its-offset", "prefix-ends-mid-line"],
 )
-def test_bad_commit_record_falls_back_to_rebuild(bad_record, family_model, tmp_path, monkeypatch):
+def test_bad_commit_record_falls_back_to_rebuild(bad_mark, family_model, tmp_path, monkeypatch):
+    """A last mark that is well formed but does not check out makes open
+    rebuild the log up to it, drop what follows it, and commit."""
     log = _two_committed_people(tmp_path / "s", family_model)
     data = log.read_bytes()
-    index = tmp_path / "s" / "index.idx"
-    assert index.read_bytes() == _commit_record(data)
-    index.write_bytes(bad_record(data))
+    prefix = data[: -len(data.splitlines(keepends=True)[-1])]
+    assert data == prefix + _mark(prefix)
+    damaged = prefix + bad_mark(prefix)
+    p3 = format_record(person("p3"), LayoutIndex(family_model)) + "\n"
+    log.write_bytes(damaged + p3.encode())  # and an uncommitted put after it
     expected = write_canonical([person("p1"), person("p2")], family_model)
 
+    built = _count_rebuilds(monkeypatch)
     with FileStore(tmp_path / "s", family_model) as reopened:
         assert export_store(reopened, family_model) == expected
+    assert built == [1]
+    assert log.read_bytes() == damaged + _mark(damaged)  # the rebuild's commit
+    assert (tmp_path / "s" / "index.idx").read_bytes() == _mark(log.read_bytes())
+
+    _forbid_rebuild(monkeypatch)  # the fresh mark is trusted at the next open
+    with FileStore(tmp_path / "s", family_model) as reopened:
+        assert export_store(reopened, family_model) == expected
+
+
+@pytest.mark.parametrize(
+    "index",
+    [None, b"", b"#00000000 0\n", b"#0123abcd 99999\n", b"#5f3a\np1\t0\t40\n"],
+    ids=["missing", "empty", "empty-log", "past-log-end", "old-format"],
+)
+def test_index_file_is_not_read(index, family_model, tmp_path, monkeypatch):
+    """index.idx is a copy of the log's state written at close: open
+    neither reads it nor rebuilds because of it."""
+    log = _two_committed_people(tmp_path / "s", family_model)
+    data, path = log.read_bytes(), tmp_path / "s" / "index.idx"
+    assert path.read_bytes() == _mark(data)
+    if index is None:
+        path.unlink()
+    else:
+        path.write_bytes(index)
+
+    _forbid_rebuild(monkeypatch)
+    with FileStore(tmp_path / "s", family_model) as reopened:
+        assert export_store(reopened, family_model) == write_canonical(
+            [person("p1"), person("p2")], family_model
+        )
     assert log.read_bytes() == data
-    assert index.read_bytes() == _commit_record(data)  # written by the rebuild
+    assert path.read_bytes() == _mark(data)
 
-    _forbid_rebuild(monkeypatch)  # the fresh record is trusted at the next open
+
+@pytest.mark.parametrize(
+    "ending",
+    [lambda old: old, lambda old: old[:-1], lambda old: old + b'<o c="Person" id="p3"><name>torn'],
+    ids=["intact", "last-newline-lost", "torn-append"],
+)
+def test_store_written_before_marks_opens_through_one_rebuild(
+    ending, family_model, tmp_path, monkeypatch
+):
+    """A log with no mark, beside the one-line commit record that an older
+    version kept in index.idx, opens through one rebuild and gains its
+    first mark, so the next open runs none. The rebuild restores a lost
+    last newline and drops a torn last append."""
+    doc = write_canonical([person("p1"), person("p2", spouse=Oid("p1"))], family_model)
+    with FileStore(tmp_path / "s", family_model) as store:
+        import_document(doc, family_model, store)
+    log = tmp_path / "s" / "objects.log"
+    lines = log.read_bytes().splitlines(keepends=True)
+    old = b"".join(line for line in lines if line.startswith(b"<o "))
+    log.write_bytes(ending(old))
+    (tmp_path / "s" / "index.idx").write_bytes(_mark(old))
+
+    built = _count_rebuilds(monkeypatch)
     with FileStore(tmp_path / "s", family_model) as reopened:
-        assert export_store(reopened, family_model) == expected
+        assert export_store(reopened, family_model) == doc
+    assert built == [1]
+    assert log.read_bytes() == old + _mark(old)
+
+    _forbid_rebuild(monkeypatch)
+    with FileStore(tmp_path / "s", family_model) as reopened:
+        assert export_store(reopened, family_model) == doc
 
 
-# Kill points inside FileStore.commit: the child's commit override wraps
-# the os call named first, and exits just before or just after it runs.
+@pytest.mark.parametrize("keep_index", [False, True])
+def test_log_cut_in_a_mark_reopens_at_the_previous_commit(keep_index, family_model, tmp_path):
+    """A log that ends partway through its last mark, at any byte before
+    the mark's newline, reopens at the commit before it."""
+    with FileStore(tmp_path / "s", family_model) as store:
+        store.put(person("p1"))
+        store.commit()
+        committed_log = store.directory.joinpath("objects.log").read_bytes()
+        store.put(person("p2"))
+        store.commit()
+    log = tmp_path / "s" / "objects.log"
+    data = log.read_bytes()
+    mark = data.splitlines(keepends=True)[-1]
+    expected = write_canonical([person("p1")], family_model)
+
+    for cut in range(1, len(mark) - 1):  # len(mark) - 1 lacks only the newline
+        log.write_bytes(data[: len(data) - len(mark) + cut])
+        if not keep_index:
+            (tmp_path / "s" / "index.idx").unlink()
+        with FileStore(tmp_path / "s", family_model) as reopened:
+            assert export_store(reopened, family_model) == expected, cut
+        assert log.read_bytes() == committed_log, cut
+
+
+def test_commit_syncs_the_log_once(family_model, tmp_path, monkeypatch):
+    """A commit is one sync of the log: no other file, no rename, no
+    directory sync; a commit with nothing put since the last writes nothing."""
+    store = FileStore(tmp_path / "s", family_model)
+    store.put(person("p0"))
+    store.commit()
+    calls = []
+    for name in ("fsync", "fdatasync", "replace", "rename", "open"):
+        real = getattr(os, name)
+        monkeypatch.setattr(
+            os, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        )
+
+    store.put(person("p1"))
+    store.put(person("p2"))
+    store.commit()
+    assert calls in (["fdatasync"], ["fsync"])
+    log = tmp_path / "s" / "objects.log"
+    committed = log.read_bytes()
+    store.commit()
+    assert calls in (["fdatasync"], ["fsync"]) and log.read_bytes() == committed
+    monkeypatch.undo()
+    store.close()
+
+
+def test_uncommitted_put_is_dropped_without_index_file(tmp_path):
+    """A put left uncommitted by a killed writer, with index.idx then
+    deleted: the store reopens at its last commit all the same."""
+    model = bench_model()
+    committed = [person(f"keep{i}") for i in range(3)]
+    with FileStore(tmp_path / "s", model) as store:
+        import_document(write_canonical(committed, model), model, store)
+    log = tmp_path / "s" / "objects.log"
+    committed_log = log.read_bytes()
+    child = (
+        "import os, sys\n"
+        "from transodb import FileStore, ObjectRecord, Oid\n"
+        "from transodb.bench import bench_model\n"
+        "store = FileStore(sys.argv[1], bench_model())\n"
+        "store.put(ObjectRecord('Person', Oid('late'), {'name': 'L', 'age': 1}))\n"
+        "store._log.flush()\n"
+        "os._exit(3)\n"
+    )
+    assert _run_child(child, str(tmp_path / "s")) == 3
+    assert log.stat().st_size > len(committed_log)
+    (tmp_path / "s" / "index.idx").unlink()
+
+    with FileStore(tmp_path / "s", model) as reopened:
+        assert export_store(reopened, model) == write_canonical(committed, model)
+    assert log.read_bytes() == committed_log
+
+
+@pytest.mark.parametrize("puts", range(1, 6))
+def test_killed_first_import_reopens_empty(puts, tmp_path):
+    """A new store's first import, killed after any of its puts, leaves a
+    store that reopens empty: only the log's first mark was committed."""
+    model = bench_model()
+    doc = tmp_path / "doc.odbx"
+    doc.write_bytes(write_canonical([person(f"p{i}") for i in range(5)], model))
+    child = (
+        "import os, sys\n"
+        "from pathlib import Path\n"
+        "from transodb import FileStore, import_document\n"
+        "from transodb.bench import bench_model\n"
+        "class DiesAfterPuts(FileStore):\n"
+        "    puts = 0\n"
+        "    def _put_line(self, token, line):\n"
+        "        super()._put_line(token, line)\n"
+        "        self.puts += 1\n"
+        "        if self.puts == int(sys.argv[3]):\n"
+        "            self._log.flush()\n"
+        "            os._exit(3)\n"
+        "model = bench_model()\n"
+        "store = DiesAfterPuts(sys.argv[1], model)\n"
+        "import_document(Path(sys.argv[2]).read_bytes(), model, store)\n"
+    )
+    assert _run_child(child, str(tmp_path / "s"), str(doc), str(puts)) == 3
+    log = tmp_path / "s" / "objects.log"
+    assert log.read_bytes().startswith(b"#00000000 0\n<o ")
+
+    with FileStore(tmp_path / "s", model) as reopened:
+        assert export_store(reopened, model) == write_canonical([], model)
+    assert log.read_bytes() == b"#00000000 0\n"
+
+
+# Kill points inside FileStore.commit, named by what reached the log: the
+# child replaces commit on its open store, and the syncs inside it.
 _DIES_IN_COMMIT = (
     "import os, sys\n"
     "from pathlib import Path\n"
     "from transodb import FileStore, import_document\n"
     "from transodb.bench import bench_model\n"
-    "name, when = sys.argv[3].split('-')\n"
-    "real = getattr(os, name)\n"
-    "def dies(*args):\n"
-    "    if when == 'after':\n"
-    "        real(*args)\n"
-    "    os._exit(3)\n"
-    "class DiesInCommit(FileStore):\n"
-    "    def commit(self):\n"
-    "        setattr(os, name, dies)\n"
-    "        super().commit()\n"
+    "kill = sys.argv[3]\n"
+    "def dies(real):\n"
+    "    def sync(fd):\n"
+    "        if kill == 'after-sync':\n"
+    "            real(fd)\n"
+    "        os._exit(3)\n"
+    "    return sync\n"
     "model = bench_model()\n"
-    "import_document(Path(sys.argv[2]).read_bytes(), model, DiesInCommit(sys.argv[1], model))\n"
+    "store = FileStore(sys.argv[1], model)\n"
+    "real_commit = store.commit\n"
+    "def commit():\n"
+    "    if kill == 'before-mark':\n"
+    "        store._log.flush()\n"
+    "        os._exit(3)\n"
+    "    os.fsync, os.fdatasync = dies(os.fsync), dies(os.fdatasync)\n"
+    "    real_commit()\n"
+    "store.commit = commit\n"
+    "import_document(Path(sys.argv[2]).read_bytes(), model, store)\n"
 )
 
 
 @pytest.mark.parametrize(
     "kill, published",
-    [("fsync-after", False), ("replace-before", False), ("replace-after", True)],
-    ids=["after-log-fsync", "after-tmp-written", "after-rename"],
+    [("before-mark", False), ("mark-not-synced", True), ("after-sync", True)],
 )
 def test_killed_commit_reopens_at_the_last_commit(kill, published, tmp_path):
     """A process killed inside commit leaves a store that reopens at the
-    last commit: the one before until the record's rename, then this one."""
+    last commit: the one before until its mark reaches the log, then this
+    one, synced or not."""
     model = bench_model()
     committed = [person(f"keep{i}") for i in range(3)]
     with FileStore(tmp_path / "s", model) as store:
@@ -552,14 +730,17 @@ def test_killed_commit_reopens_at_the_last_commit(kill, published, tmp_path):
     before, committed_log = index.read_bytes(), log.read_bytes()
 
     assert _run_child(_DIES_IN_COMMIT, str(tmp_path / "s"), str(doc), kill) == 3
-    assert (index.read_bytes() != before) is published
-    assert (tmp_path / "s" / "index.idx.tmp").exists() is (kill == "replace-before")
+    lines = log.read_bytes().splitlines(keepends=True)
+    assert len(lines) == len(committed_log.splitlines()) + len(added) + published
+    assert (lines[-1] == _mark(b"".join(lines[:-1]))) is published
+    assert index.read_bytes() == before  # only close writes it
+    assert not (tmp_path / "s" / "index.idx.tmp").exists()
 
     last = committed + added if published else committed
     with FileStore(tmp_path / "s", model) as reopened:
         assert export_store(reopened, model) == write_canonical(last, model)
     assert (log.read_bytes() == committed_log) is not published
-    assert index.read_bytes() == _commit_record(log.read_bytes())
+    assert index.read_bytes() == _mark(log.read_bytes())
 
 
 def test_reopen_preserves_bytes_exactly(family_model, tmp_path):
