@@ -213,6 +213,7 @@ class LayoutIndex:
         self._chains: dict[str, tuple[str, ...]] = {}
         self._layouts: dict[str, list[FieldDef]] = {}
         self._by_name: dict[str, dict[str, FieldDef]] = {}
+        self.plans: dict[str, tuple] = {}  # class name -> objectxml's write plan
 
     def chain(self, class_name: str) -> tuple[str, ...]:
         """The class's ancestry, root first, the class itself last."""

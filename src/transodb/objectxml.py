@@ -6,6 +6,9 @@ same object set are therefore equal as byte strings. The verbose emitter
 reproduces the legacy multi-file encoding (per-object storage details and
 repeated type descriptors) and exists only as the size-comparison baseline.
 
+record_line checks a record as it writes its line, by base type, in one
+pass over a per-class plan; validate_record, format_record and put use it.
+
 Because the form is canonical, a record line of a data document and a line
 of a FileStore log are the same bytes, and the expat decoder reads both:
 read_canonical over a whole document, decode_record_line over one line.
@@ -126,13 +129,10 @@ _ATTR_ESCAPES = dict(_TEXT_ESCAPES)
 _ATTR_ESCAPES.update({ord('"'): "&quot;", ord("\t"): "&#9;"})
 
 # Code points XML 1.0 cannot carry at all (even as character references).
-_XML_UNREPRESENTABLE = re.compile(
-    "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff￾￿]"
-)
+_XML_UNREPRESENTABLE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
-
-def escape_text(text: str) -> str:
-    return text.translate(_TEXT_ESCAPES)
+# what _TEXT_ESCAPES changes or XML cannot carry: text without it is written as it is
+_TEXT_SPECIAL = re.compile(_XML_UNREPRESENTABLE.pattern[:-1] + "&<>\r\n]")
 
 
 def escape_attr(text: str) -> str:
@@ -141,67 +141,121 @@ def escape_attr(text: str) -> str:
 
 def validate_record(record: ObjectRecord, model: ClassModel, layouts: LayoutIndex | None = None) -> None:
     """Raise RecordError unless the record conforms to its class layout."""
-    layouts = layouts or LayoutIndex(model)
-    if not isinstance(record.oid, Oid) or not OID_RE.match(record.oid.token):
-        raise RecordError(f"invalid OID {getattr(record.oid, 'token', record.oid)!r}")
-    if record.class_name not in model.classes:
-        raise RecordError(f"unknown class {record.class_name!r} (record {record.oid.token})")
-    layout = layouts.layout(record.class_name)
-    declared = {f.name for f in layout}
-    for name in record.values:
-        if name not in declared:
-            raise RecordError(
-                f"unknown field {name!r} on {record.class_name} (record {record.oid.token})"
-            )
-    for fdef in layout:
-        if fdef.name not in record.values:
-            if not fdef.optional:
-                raise RecordError(
-                    f"missing required field {fdef.name!r} (record {record.oid.token})"
-                )
-            continue
-        _check_value(fdef, record.values[fdef.name], record.oid.token)
+    record_line(record, layouts or LayoutIndex(model))
 
 
-def _check_value(fdef: FieldDef, value: Value, token: str) -> None:
-    kind = fdef.kind
-    if isinstance(kind, ListOf):
-        if not isinstance(value, list):
-            raise RecordError(f"field {fdef.name!r} expects a list (record {token})")
-        for item in value:
-            _check_scalar_or_ref(fdef.name, kind.element, item, token)
-    else:
-        _check_scalar_or_ref(fdef.name, kind, value, token)
+def record_line(record: ObjectRecord, layouts: LayoutIndex) -> tuple[str, str]:
+    """The OID token and canonical line (with its newline) of a record, checked
+    as one pass over its class's write plan writes it. RecordError names the
+    first fault: OID, class, unknown fields in values order, layout order."""
+    try:
+        token = _ref_text(record.oid)
+    except _Reject:
+        raise RecordError(f"invalid OID {getattr(record.oid, 'token', record.oid)!r}") from None
+    class_name, values = record.class_name, record.values
+    plan = layouts.plans.get(class_name)
+    if plan is None:
+        if class_name not in layouts.model.classes:
+            raise RecordError(f"unknown class {class_name!r} (record {token})")
+        plan = layouts.plans[class_name] = _write_plan(layouts, class_name)
+    head, declared, fields = plan
+    if not values.keys() <= declared:
+        name = next(name for name in values if name not in declared)
+        raise RecordError(f"unknown field {name!r} on {class_name} (record {token})")
+    parts = [head, token, '">']
+    append = parts.append
+    try:
+        for name, required, is_list, leaf, start, end, empty in fields:
+            if name not in values:
+                if required:
+                    raise RecordError(f"missing required field {name!r} (record {token})")
+                continue
+            value = values[name]
+            if not is_list:
+                value = (value,)
+            elif not isinstance(value, list):
+                raise _Reject("expects a list")
+            for item in value:
+                text = leaf(item)
+                append(f"{start}{text}{end}" if text else empty)
+    except _Reject as fault:
+        raise RecordError(f"field {name!r} {fault} (record {token})") from None
+    append("</o>\n")
+    return token, "".join(parts)
 
 
-def _check_scalar_or_ref(name: str, kind: Scalar | Ref, value, token: str) -> None:
-    if isinstance(kind, Ref):
-        if not isinstance(value, Oid):
-            raise RecordError(f"field {name!r} expects a reference (record {token})")
-        if not OID_RE.match(value.token):
-            raise RecordError(f"field {name!r} holds invalid OID {value.token!r} (record {token})")
-        return
-    sk = kind.kind
-    if sk is ScalarKind.STR:
-        if not isinstance(value, str):
-            raise RecordError(f"field {name!r} expects text (record {token})")
-        if _XML_UNREPRESENTABLE.search(value):
-            raise RecordError(
-                f"field {name!r} holds characters XML cannot carry (record {token})"
-            )
-    elif sk is ScalarKind.BOOL:
-        if not isinstance(value, bool):
-            raise RecordError(f"field {name!r} expects a boolean (record {token})")
-    elif sk is ScalarKind.INT64:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise RecordError(f"field {name!r} expects an integer (record {token})")
-        if not INT64_MIN <= value <= INT64_MAX:
-            raise RecordError(f"field {name!r} out of 64-bit range (record {token})")
-    elif sk is ScalarKind.FLOAT64:
-        if not isinstance(value, float):
-            raise RecordError(f"field {name!r} expects a float (record {token})")
-        if not math.isfinite(value):
-            raise RecordError(f"field {name!r} is not finite (record {token})")
+class _Reject(Exception):
+    """What is wrong with a field's value; record_line names the field."""
+
+
+def _write_plan(layouts: LayoutIndex, class_name: str) -> tuple:
+    """The start tag up to the OID, the declared field names, and per layout
+    field: name, required, is list, leaf function, tags, empty leaf."""
+    fields = []
+    for fdef in layouts.layout(class_name):
+        kind, name = _element_kind(fdef), fdef.name
+        tags = (f'<{name} r="', '"/>') if isinstance(kind, Ref) else (f"<{name}>", f"</{name}>")
+        fields.append((name, not fdef.optional, isinstance(fdef.kind, ListOf),
+                       _LEAF_TEXT.get(kind, _ref_text), *tags, f"<{name}/>"))
+    head = f'<o c="{layouts.model.classes[class_name].name}" id="'
+    return head, frozenset(f[0] for f in fields), tuple(fields)
+
+
+def _plain(value, base: type, fault: str):
+    """value as a plain base instance (a bool is no int), so no subclass method runs."""
+    if not issubclass(type(value), base) or type(value) is bool:
+        raise _Reject(fault)
+    return base.__getnewargs__(value)[0]
+
+
+# A leaf function checks one value and returns its escaped leaf text.
+def _str_text(value) -> str:
+    if type(value) is not str:
+        value = _plain(value, str, "expects text")
+    if _TEXT_SPECIAL.search(value) is None:
+        return value
+    if _XML_UNREPRESENTABLE.search(value):
+        raise _Reject("holds characters XML cannot carry")
+    return value.translate(_TEXT_ESCAPES)
+
+
+def _bool_text(value) -> str:
+    if value is True or value is False:
+        return "true" if value else "false"
+    raise _Reject("expects a boolean")
+
+
+def _int_text(value) -> str:
+    if type(value) is not int:
+        value = _plain(value, int, "expects an integer")
+    if not INT64_MIN <= value <= INT64_MAX:
+        raise _Reject("out of 64-bit range")
+    return repr(value)
+
+
+def _float_text(value) -> str:
+    if type(value) is not float:
+        value = _plain(value, float, "expects a float")
+    if not math.isfinite(value):
+        raise _Reject("is not finite")
+    return repr(value)  # the shortest decimal that parses back to the same binary64
+
+
+def _ref_text(value) -> str:
+    if not isinstance(value, Oid):
+        raise _Reject("expects a reference")
+    token = value.token
+    if type(token) is not str:
+        token = _plain(token, str, f"holds invalid OID {token!r}")
+    if OID_RE.match(token):
+        return token
+    raise _Reject(f"holds invalid OID {value.token!r}")
+
+
+_LEAF_TEXT = {
+    Scalar(ScalarKind.STR): _str_text, Scalar(ScalarKind.BOOL): _bool_text,
+    Scalar(ScalarKind.INT64): _int_text, Scalar(ScalarKind.FLOAT64): _float_text,
+}
 
 
 def iter_refs(record: ObjectRecord, layouts: LayoutIndex) -> Iterator[tuple[str, str, Oid]]:
@@ -244,9 +298,9 @@ def line_refs(line: bytes) -> list[str]:
 
 # Leaf content as format_record writes it, in the acceptor's segments,
 # spelled short: compiling a pattern costs about its length, once per class
-# in each import and rebuild. Text is escape_text's output: no markup, no
+# in each import and rebuild. Text is _str_text's output: no markup, no
 # raw newline or carriage return and no control character XML cannot carry
-# (a tab stays raw); an '&' must start one of the entities escape_text
+# (a tab stays raw); an '&' must start one of the entities _TEXT_ESCAPES
 # writes, which _AMP_FAULT, one pattern for every class, checks.
 _SCALAR_TEXT = {
     ScalarKind.STR: b"[^\x00-\x08\n-\x1f<>]+",  # control bytes spelled raw: shorter to parse
@@ -262,7 +316,7 @@ _ENTITY_RE = re.compile("|".join(_ENTITIES))
 # A leaf of an accepted line, where every '<' opens a tag and the start tag
 # matches no leaf: its name, then a scalar's text or a reference's token.
 _LEAF_RE = re.compile(r"<(\w+)(?:>([^<]*)</\w+>|" + _LINE_REF_RE.pattern.decode() + "|/>)", re.ASCII)
-# a scalar leaf's text to its value, escape_text undone on text (whose only
+# a scalar leaf's text to its value, _TEXT_ESCAPES undone on text (whose only
 # '&'s start its entities); a reference leaf's token makes an Oid
 _CONVERTERS = {
     Scalar(ScalarKind.STR): lambda t: _ENTITY_RE.sub(lambda m: _ENTITIES[m[0]], t) if "&" in t else t,
@@ -401,40 +455,9 @@ def _leaves_of(layout: list[FieldDef], kind: ScalarKind, text: bytes) -> re.Patt
 
 
 def format_record(record: ObjectRecord, layouts: LayoutIndex) -> str:
-    """Render one record as its canonical single-line element (no newline)."""
-    parts = [f'<o c="{escape_attr(record.class_name)}" id="{escape_attr(record.oid.token)}">']
-    for fdef in layouts.layout(record.class_name):
-        if fdef.name not in record.values:
-            continue
-        value = record.values[fdef.name]
-        if isinstance(fdef.kind, ListOf):
-            for item in value:
-                parts.append(_format_leaf(fdef.name, fdef.kind.element, item))
-        else:
-            parts.append(_format_leaf(fdef.name, fdef.kind, value))
-    parts.append("</o>")
-    return "".join(parts)
-
-
-def _format_leaf(name: str, kind: Scalar | Ref, value) -> str:
-    if isinstance(kind, Ref):
-        return f'<{name} r="{escape_attr(value.token)}"/>'
-    text = _scalar_text(kind.kind, value)
-    if text == "":
-        return f"<{name}/>"
-    return f"<{name}>{escape_text(text)}</{name}>"
-
-
-def _scalar_text(sk: ScalarKind, value) -> str:
-    if sk is ScalarKind.STR:
-        return value
-    if sk is ScalarKind.BOOL:
-        return "true" if value else "false"
-    if sk is ScalarKind.INT64:
-        return str(value)
-    # repr() is the shortest decimal string that parses back to the same
-    # binary64 value; non-finite values were rejected during validation.
-    return repr(value)
+    """Render one valid record as its canonical single-line element (no
+    newline); RecordError, as validate_record, for an invalid one."""
+    return record_line(record, layouts)[1][:-1]
 
 
 _DECLARATION = b'<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -456,7 +479,7 @@ class CanonicalWriter:
         self._layouts = LayoutIndex(model)
         self._model = model
         self._out = out
-        self._last_token: str | None = None
+        self._last_token = ""
         self.count = 0
 
     def begin(self) -> None:
@@ -464,15 +487,14 @@ class CanonicalWriter:
         self._out.write(_root_line(self._model))
 
     def record(self, record: ObjectRecord) -> None:
-        validate_record(record, self._model, self._layouts)
-        token = record.oid.token
-        if self._last_token is not None and token.encode() <= self._last_token.encode():
+        token, line = record_line(record, self._layouts)
+        # ASCII tokens: str order is byte-wise order
+        if token <= self._last_token:
             if token == self._last_token:
                 raise RecordError(f"duplicate OID {token!r}")
             raise RecordError(f"records out of OID order at {token!r}")
         self._last_token = token
-        self._out.write(format_record(record, self._layouts).encode("utf-8"))
-        self._out.write(b"\n")
+        self._out.write(line.encode("utf-8"))
         self.count += 1
 
     def end(self) -> None:
@@ -485,7 +507,8 @@ def write_canonical(records: Iterable[ObjectRecord], model: ClassModel) -> bytes
     A pure function of (record set, model): input order never shows in the
     output because records are emitted in byte-wise OID order.
     """
-    ordered = sorted(records, key=lambda r: r.oid.token.encode() if isinstance(r.oid, Oid) else b"")
+    ordered = sorted(records, key=lambda r: str.encode(r.oid.token, "utf-8", "surrogatepass")
+                     if isinstance(r.oid, Oid) and isinstance(r.oid.token, str) else b"")
     buf = io.BytesIO()
     writer = CanonicalWriter(model, buf)
     writer.begin()
@@ -847,10 +870,10 @@ def write_verbose(records: Iterable[ObjectRecord], model: ClassModel) -> dict[st
                 data_lines.append("      </Field>")
             elif isinstance(fdef.kind, Ref):
                 data_lines.append(
-                    f'      <Field name="{fdef.name}" type="{spec}" ref="{escape_attr(value.token)}"/>'
+                    f'      <Field name="{fdef.name}" type="{spec}" ref="{_ref_text(value)}"/>'
                 )
             else:
-                text = escape_text(_scalar_text(fdef.kind.kind, value))
+                text = _LEAF_TEXT[fdef.kind](value)
                 data_lines.append(f'      <Field name="{fdef.name}" type="{spec}">{text}</Field>')
         data_lines.append("    </Fields>")
         data_lines.append("  </Object>")
@@ -866,8 +889,8 @@ def write_verbose(records: Iterable[ObjectRecord], model: ClassModel) -> dict[st
 
 def _verbose_item(kind: Scalar | Ref, item) -> str:
     if isinstance(kind, Ref):
-        return f'<Item ref="{escape_attr(item.token)}"/>'
-    return f"<Item>{escape_text(_scalar_text(kind.kind, item))}</Item>"
+        return f'<Item ref="{_ref_text(item)}"/>'
+    return f"<Item>{_LEAF_TEXT[kind](item)}</Item>"
 
 
 def _descriptor_line(fdef: FieldDef) -> str:

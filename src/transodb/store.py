@@ -3,9 +3,10 @@ import/export/migrate operations built on it.
 
 A store holds canonical record lines (``format_record`` plus a newline,
 UTF-8) keyed by OID token; records are a decoded view of them. The
-adapter base writes the public surface once: put (validate, format, no
-overwrite), get and scan (LineAcceptor.record: accept, then read by the
-grammar), contains, count, and scan_lines in byte-wise OID order. A
+adapter base writes the public surface once: put (record_line checks and
+writes the line in one pass; no overwrite), get and scan
+(LineAcceptor.record: accept, then read by the grammar), contains,
+count, and scan_lines in byte-wise OID order. A
 backend supplies only line storage: append a line, read one back,
 commit, checkpoint/rollback (so imports stay atomic on any backend) and
 close. MemStore is a plain in-process map of lines; FileStore is an
@@ -43,10 +44,9 @@ from .objectxml import (
     Oid,
     accept_document,
     decode_record_line,
-    format_record,
     line_oid,
     line_refs,
-    validate_record,
+    record_line,
 )
 from .xsd import emit_schema
 
@@ -94,8 +94,8 @@ class StoreAdapter(ABC):
         self._acceptor: LineAcceptor | None = None  # built by the first get or scan
 
     def put(self, record: ObjectRecord) -> None:
-        validate_record(record, self.model, self._layouts)
-        self._put_line(record.oid.token, _encode_line(record, self._layouts))
+        token, line = record_line(record, self._layouts)
+        self._put_line(token, line.encode("utf-8"))
 
     def _put_line(self, token: str, line: bytes) -> None:
         """Store a canonical line the caller has validated as token's record."""
@@ -516,10 +516,6 @@ def _framed_oid(line: bytes, complete: bool, offset: int) -> str | None:
     """The OID token of a log line that starts with a start tag and ends
     with ``</o>`` and a newline; the CRC of a later mark vouches for the rest."""
     return line_oid(line) if complete and line.endswith(b"</o>") else None
-
-
-def _encode_line(record: ObjectRecord, layouts: LayoutIndex) -> bytes:
-    return (format_record(record, layouts) + "\n").encode("utf-8")
 
 
 def _names_file(path: Path, fd: int) -> bool:
