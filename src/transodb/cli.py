@@ -19,9 +19,8 @@ from typing import Iterator
 
 from .bench import bench_model, rows_to_tsv, run_bench
 from .errors import TransodbError
-from .model import ClassModel, dump_model
+from .model import ClassModel
 from .store import FileStore, StoreAdapter, export_to, import_document, migrate
-from .objectxml import schema_hash
 from .xsd import parse_schema
 
 EXIT_OK = 0
@@ -68,8 +67,8 @@ def cmd_schema(args) -> int:
     model = _load_model(args.xsd)
     if model is None:
         return EXIT_DOMAIN
-    sys.stdout.write(dump_model(model))
-    print(schema_hash(model))
+    sys.stdout.write(model.dump)
+    print(model.schema_hash)
     return EXIT_OK
 
 

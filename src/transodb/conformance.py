@@ -16,7 +16,6 @@ from .model import (
     ClassDef,
     ClassModel,
     FieldDef,
-    LayoutIndex,
     ListOf,
     Ref,
     Scalar,
@@ -138,7 +137,6 @@ def random_graph(model: ClassModel, seed: int, n: int) -> ObjectGraph:
     oids = [Oid(f"r{i}") for i in range(n)]
 
     # candidate record indices per reference target, honoring subtyping
-    layouts = LayoutIndex(model)
     candidates: dict[str, list[int]] = {}
     for target in names:
         candidates[target] = [
@@ -149,7 +147,7 @@ def random_graph(model: ClassModel, seed: int, n: int) -> ObjectGraph:
     for i in range(n):
         cls = assigned[i]
         values: dict[str, Value] = {}
-        for fdef in layouts.layout(cls):
+        for fdef in model.layouts.layout(cls):
             kind = fdef.kind
             if isinstance(kind, Scalar):
                 if fdef.optional and rng.random() < 0.3:
@@ -244,8 +242,7 @@ def check_adapter_contract(
 
 
 def _check_scan_lines(store: StoreAdapter) -> None:
-    layouts = LayoutIndex(store.model)
-    expected = [(format_record(r, layouts) + "\n").encode("utf-8") for r in store.scan()]
+    expected = [(format_record(r, store.model.layouts) + "\n").encode("utf-8") for r in store.scan()]
     assert list(store.scan_lines()) == expected, (
         "scan_lines must yield the canonical line of each record scan yields"
     )

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Iterable
 
 from .errors import ModelMismatchError, TransodbError
-from .model import ClassModel, LayoutIndex, dump_model
+from .model import ClassModel
 from .objectxml import ObjectRecord, Oid, RecordError, Value, iter_refs, validate_record
 
 
@@ -32,8 +32,9 @@ class BuildError:
     offending_oid: Oid
     detail: str
 
-    def sort_key(self) -> tuple[str, str, str]:
-        return (self.offending_oid.token, self.kind.value, self.detail)
+    def sort_key(self) -> tuple[bool, str, str, str]:
+        token = self.offending_oid.token  # an invalid record's may not be a str: it sorts last
+        return (type(token) is not str, str(token), self.kind.value, self.detail)
 
 
 class GraphBuildError(TransodbError):
@@ -61,7 +62,7 @@ class ObjectGraph:
 
 def build_graph(records: Iterable[ObjectRecord], model: ClassModel) -> ObjectGraph:
     """Assemble a graph, or raise GraphBuildError listing every problem."""
-    layouts = LayoutIndex(model)
+    layouts = model.layouts
     errors: list[BuildError] = []
     by_oid: dict[Oid, ObjectRecord] = {}
     outbound: list[tuple[Oid, str, str, Oid]] = []
@@ -135,7 +136,7 @@ def records_equal(a: ObjectRecord, b: ObjectRecord) -> bool:
 
 def graphs_equal(a: ObjectGraph, b: ObjectGraph) -> bool:
     """Field-wise graph equality; both graphs must share one schema."""
-    if dump_model(a.model) != dump_model(b.model):
+    if a.model.dump != b.model.dump:
         raise ModelMismatchError("graphs bound to different models")
     if set(a.records) != set(b.records):
         return False

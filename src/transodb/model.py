@@ -2,8 +2,9 @@
 
 The model is a catalog of entity classes: single inheritance, ordered typed
 fields, four scalar kinds. It is the contract between the schema frontend,
-the object codec, and the stores. Instances are treated as immutable after
-construction; every operation here is pure.
+the object codec, and the stores. A model is read-only once built, so
+what is derived from it (diagnostics, dump, schema hash, layouts) is
+computed once, on first use, and kept on it; every operation is pure.
 """
 
 from __future__ import annotations
@@ -11,6 +12,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import TransodbError
 
@@ -102,13 +106,56 @@ class Diagnostic:
         return (self.class_name, self.field_name or "", self.message)
 
 
+FNV_OFFSET_BASIS = 0xCBF29CE484222325
+FNV_PRIME = 0x100000001B3
+
+
+def fnv1a64(data: bytes) -> int:
+    h = FNV_OFFSET_BASIS
+    for byte in data:
+        h ^= byte
+        h = (h * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
 @dataclass
 class ClassModel:
-    """The whole catalog. `name` identifies the model in document headers
-    but does not participate in the dump or the schema hash."""
+    """The whole catalog. `classes` is a read-only copy of the mapping
+    given, never rebound. `name` identifies the model in document headers
+    but is in neither the dump nor the schema hash, so it stays settable."""
 
     name: str
-    classes: dict[str, ClassDef] = field(default_factory=dict)
+    classes: Mapping[str, ClassDef] = field(default_factory=dict)
+
+    def __setattr__(self, attr: str, value) -> None:
+        if attr == "classes":
+            if "classes" in self.__dict__:
+                raise AttributeError("a model's classes cannot be rebound")
+            value = MappingProxyType(dict(value))
+        object.__setattr__(self, attr, value)
+
+    @cached_property
+    def diagnostics(self) -> tuple[Diagnostic, ...]:
+        return tuple(_check_model(self))
+
+    @cached_property
+    def dump(self) -> str:
+        if self.diagnostics:
+            raise InvalidModelError(list(self.diagnostics))
+        lines = []
+        for cname, cdef in sorted(self.classes.items()):
+            sup = "" if cdef.superclass is None else f" : {cdef.superclass}"
+            fields = ", ".join(map(_field_spec, cdef.own_fields))
+            lines.append(f"class {cname}{sup} {{ {fields} }}\n")
+        return "".join(lines)
+
+    @cached_property
+    def schema_hash(self) -> str:
+        return f"{fnv1a64(self.dump.encode('utf-8')):016x}"
+
+    @cached_property
+    def layouts(self) -> LayoutIndex:
+        return LayoutIndex(self)  # checks nothing: an invalid model lays out its valid classes
 
 
 def validate_model(model: ClassModel) -> list[Diagnostic]:
@@ -117,8 +164,13 @@ def validate_model(model: ClassModel) -> list[Diagnostic]:
     Reports every violation rather than stopping at the first: unresolved
     superclasses and Ref targets, inheritance cycles, duplicate field names
     in the resolved layout, and reserved or malformed names. Deterministic
-    order (class name, then field name).
+    order (class name, then field name). The check runs once per model.
     """
+    return list(model.diagnostics)
+
+
+def _check_model(model: ClassModel) -> list[Diagnostic]:
+    """The walk behind validate_model."""
     diags: list[Diagnostic] = []
 
     for cname, cdef in model.classes.items():
@@ -146,9 +198,13 @@ def validate_model(model: ClassModel) -> list[Diagnostic]:
                         cname, fdef.name, f"unresolved reference target {target!r} in {cname}.{fdef.name}"
                     )
                 )
-
-    for cname in _cycle_members(model):
-        diags.append(Diagnostic(cname, None, f"inheritance cycle at {cname}"))
+        walk = cdef.superclass  # on a cycle iff its superclasses lead back to it
+        for _ in model.classes:
+            if walk == cname or walk not in model.classes:
+                break
+            walk = model.classes[walk].superclass
+        if walk == cname:
+            diags.append(Diagnostic(cname, None, f"inheritance cycle at {cname}"))
 
     # Duplicate detection needs a resolvable chain: skip classes whose
     # ancestry is broken by a cycle or a missing superclass.
@@ -172,14 +228,14 @@ def validate_model(model: ClassModel) -> list[Diagnostic]:
 def resolve_layout(model: ClassModel, class_name: str) -> list[FieldDef]:
     """Flattened field layout: root ancestor's fields first, then each
     descendant's own fields, declaration order preserved within a class."""
-    return LayoutIndex(model).layout(class_name)
+    return list(model.layouts.layout(class_name))
 
 
 def is_subtype(model: ClassModel, sub: str, sup: str) -> bool:
     """True iff `sup` is `sub` or reachable from it along superclass links."""
     if sup not in model.classes:
         raise KeyError(f"unknown class {sup!r}")
-    return sup in LayoutIndex(model).chain(sub)
+    return sup in model.layouts.chain(sub)
 
 
 def dump_model(model: ClassModel) -> str:
@@ -190,23 +246,13 @@ def dump_model(model: ClassModel) -> str:
     ``name:kindspec`` plus a ``?`` suffix when optional. This exact byte
     sequence feeds the schema hash, so the grammar must never drift.
     """
-    diags = validate_model(model)
-    if diags:
-        raise InvalidModelError(diags)
-    lines = []
-    for cname in sorted(model.classes):
-        cdef = model.classes[cname]
-        head = f"class {cname}"
-        if cdef.superclass is not None:
-            head += f" : {cdef.superclass}"
-        fields = ", ".join(_field_spec(f) for f in cdef.own_fields)
-        lines.append(f"{head} {{ {fields} }}\n")
-    return "".join(lines)
+    return model.dump
 
 
 class LayoutIndex:
-    """Per-class ancestry and layout cache over a validated model; a class
-    costs a walk of its own ancestry, not of the model."""
+    """Per-class ancestry and layout cache over a model, with objectxml's
+    write plans and LineAcceptor; a class costs a walk of its own ancestry,
+    not of the model, and raises InvalidModelError only if that is broken."""
 
     def __init__(self, model: ClassModel):
         self.model = model
@@ -240,6 +286,11 @@ class LayoutIndex:
         self.layout(class_name)
         return self._by_name[class_name].get(field_name)
 
+    @cached_property
+    def acceptor(self):
+        from .objectxml import LineAcceptor  # objectxml builds on this module
+        return LineAcceptor(self)
+
 
 def _field_spec(fdef: FieldDef) -> str:
     spec = f"{fdef.name}:{_kind_spec(fdef.kind)}"
@@ -260,23 +311,6 @@ def _ref_target(kind: FieldKind) -> str | None:
     if isinstance(kind, ListOf) and isinstance(kind.element, Ref):
         return kind.element.target
     return None
-
-
-def _cycle_members(model: ClassModel) -> set[str]:
-    """Classes that sit on a superclass cycle."""
-    members: set[str] = set()
-    for start in model.classes:
-        path: list[str] = []
-        seen: set[str] = set()
-        current: str | None = start
-        while current is not None and current in model.classes:
-            if current in seen:
-                members.update(path[path.index(current):])
-                break
-            seen.add(current)
-            path.append(current)
-            current = model.classes[current].superclass
-    return members
 
 
 def _chain(model: ClassModel, class_name: str) -> tuple[str, ...] | None:

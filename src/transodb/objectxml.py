@@ -26,9 +26,9 @@ byte), OID order and the footer. Expat decodes a rejected line only to
 explain the rejection. A store's get and scan build an ObjectRecord
 without it: LineAcceptor.record reads an accepted line by its grammar.
 
-Writers and readers keep no shared mutable state, so different documents
-may be processed concurrently; a single read_canonical call is
-single-threaded.
+Writers and readers share only their model's caches, whose entries are the
+same whoever fills them, so different documents may be processed
+concurrently; a single read_canonical call is single-threaded.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .model import (
     Scalar,
     ScalarKind,
     _kind_spec,  # the verbose baseline reuses the dump kind grammar
-    dump_model,
+    fnv1a64,  # re-exported: the hash behind schema_hash
 )
 
 OID_RE = re.compile(r"[A-Za-z0-9_.\-]+\Z")
@@ -58,9 +58,6 @@ INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 
 _INT_TEXT_RE = re.compile(r"-?(0|[1-9][0-9]*)\Z")
-
-FNV_OFFSET_BASIS = 0xCBF29CE484222325
-FNV_PRIME = 0x100000001B3
 
 
 class RecordError(TransodbError):
@@ -107,17 +104,9 @@ class DocumentHeader:
     schema_hash: str
 
 
-def fnv1a64(data: bytes) -> int:
-    h = FNV_OFFSET_BASIS
-    for byte in data:
-        h ^= byte
-        h = (h * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return h
-
-
 def schema_hash(model: ClassModel) -> str:
     """16 lowercase hex digits binding a data document to its schema."""
-    return f"{fnv1a64(dump_model(model).encode('utf-8')):016x}"
+    return model.schema_hash
 
 
 # Newlines are escaped so one record is always one physical line (the store
@@ -141,25 +130,29 @@ def escape_attr(text: str) -> str:
 
 def validate_record(record: ObjectRecord, model: ClassModel, layouts: LayoutIndex | None = None) -> None:
     """Raise RecordError unless the record conforms to its class layout."""
-    record_line(record, layouts or LayoutIndex(model))
+    record_line(record, layouts or model.layouts)
 
 
 def record_line(record: ObjectRecord, layouts: LayoutIndex) -> tuple[str, str]:
     """The OID token and canonical line (with its newline) of a record, checked
     as one pass over its class's write plan writes it. RecordError names the
-    first fault: OID, class, unknown fields in values order, layout order."""
+    first fault: OID, types of class name and values, class, unknown fields
+    in values order, layout order."""
     try:
         token = _ref_text(record.oid)
     except _Reject:
         raise RecordError(f"invalid OID {getattr(record.oid, 'token', record.oid)!r}") from None
     class_name, values = record.class_name, record.values
-    plan = layouts.plans.get(class_name)
+    try:
+        plan, names = layouts.plans.get(class_name), values.keys()
+    except (TypeError, AttributeError):  # an unhashable class name, values not a dict
+        raise RecordError(f"record {token} needs a hashable class name and a dict of values") from None
     if plan is None:
         if class_name not in layouts.model.classes:
             raise RecordError(f"unknown class {class_name!r} (record {token})")
         plan = layouts.plans[class_name] = _write_plan(layouts, class_name)
     head, declared, fields = plan
-    if not values.keys() <= declared:
+    if not names <= declared:
         name = next(name for name in values if name not in declared)
         raise RecordError(f"unknown field {name!r} on {class_name} (record {token})")
     parts = [head, token, '">']
@@ -468,7 +461,7 @@ def _root_line(model: ClassModel) -> bytes:
     """The root start tag line of a canonical document for model."""
     if _XML_UNREPRESENTABLE.search(model.name):
         raise RecordError("model name holds characters XML cannot carry")
-    return f'<objects schema="{escape_attr(model.name)}" schemaHash="{schema_hash(model)}">\n'.encode()
+    return f'<objects schema="{escape_attr(model.name)}" schemaHash="{model.schema_hash}">\n'.encode()
 
 
 class CanonicalWriter:
@@ -476,18 +469,16 @@ class CanonicalWriter:
     order (enforced, which also rejects duplicates)."""
 
     def __init__(self, model: ClassModel, out: BinaryIO):
-        self._layouts = LayoutIndex(model)
         self._model = model
         self._out = out
         self._last_token = ""
-        self.count = 0
 
     def begin(self) -> None:
         self._out.write(_DECLARATION)
         self._out.write(_root_line(self._model))
 
     def record(self, record: ObjectRecord) -> None:
-        token, line = record_line(record, self._layouts)
+        token, line = record_line(record, self._model.layouts)
         # ASCII tokens: str order is byte-wise order
         if token <= self._last_token:
             if token == self._last_token:
@@ -495,7 +486,6 @@ class CanonicalWriter:
             raise RecordError(f"records out of OID order at {token!r}")
         self._last_token = token
         self._out.write(line.encode("utf-8"))
-        self.count += 1
 
     def end(self) -> None:
         self._out.write(_FOOTER)
@@ -527,15 +517,9 @@ class _Decoder:
     with no on_root. Every rejection is a DocumentError with a position.
     """
 
-    def __init__(
-        self,
-        model: ClassModel,
-        layouts: LayoutIndex,
-        sink: Callable[[ObjectRecord], None],
-        on_root: Callable[[dict[str, str]], None] | None = None,
-    ):
+    def __init__(self, model: ClassModel, sink: Callable[[ObjectRecord], None],
+                 on_root: Callable[[dict[str, str]], None] | None = None):
         self._model = model
-        self._layouts = layouts
         self._sink = sink
         self._on_root = on_root
         # nesting of the open element relative to <o>: 0 is the record
@@ -609,7 +593,7 @@ class _Decoder:
         self._record = ObjectRecord(class_name, Oid(token))
 
     def _open_field(self, name: str, attrs: dict[str, str]) -> None:
-        fdef = self._layouts.field(self._record.class_name, name)
+        fdef = self._model.layouts.field(self._record.class_name, name)
         if fdef is None:
             self.fail(f"unknown field {name!r} on {self._record.class_name}")
         self._fdef = fdef
@@ -639,7 +623,7 @@ class _Decoder:
     def _close_record(self) -> None:
         record = self._record
         try:
-            validate_record(record, self._model, self._layouts)
+            validate_record(record, self._model)
         except RecordError as exc:
             self.fail(str(exc))
         self._record = None
@@ -690,7 +674,6 @@ def read_canonical(
     header is verified against the model before any record is decoded.
     Every rejection carries the offending line and column.
     """
-    expected_hash = schema_hash(model)
     header: list[DocumentHeader] = []
 
     def on_root(attrs: dict[str, str]) -> None:
@@ -699,29 +682,27 @@ def read_canonical(
             decoder.fail(f"unexpected attribute {sorted(unknown)[0]!r} on <objects>")
         if "schema" not in attrs or "schemaHash" not in attrs:
             decoder.fail("<objects> requires schema and schemaHash attributes")
-        if attrs["schemaHash"] != expected_hash:
+        if attrs["schemaHash"] != model.schema_hash:
             raise HeaderMismatchError(
                 f"document schemaHash {attrs['schemaHash']!r} does not match "
-                f"model hash {expected_hash!r}",
+                f"model hash {model.schema_hash!r}",
                 *decoder.pos(),
             )
         header.append(DocumentHeader(attrs["schema"], attrs["schemaHash"]))
 
-    decoder = _Decoder(model, LayoutIndex(model), sink, on_root)
+    decoder = _Decoder(model, sink, on_root)
     decoder.decode(data)
     return header[0]
 
 
-def decode_record_line(data: bytes, model: ClassModel, layouts: LayoutIndex) -> ObjectRecord:
+def decode_record_line(data: bytes, model: ClassModel) -> ObjectRecord:
     """Decode the UTF-8 bytes of one canonical ``<o .../>`` line."""
     records: list[ObjectRecord] = []
-    _Decoder(model, layouts, records.append).decode(data)
+    _Decoder(model, records.append).decode(data)
     return records[0]
 
 
-def accept_document(
-    data: bytes, model: ClassModel, layouts: LayoutIndex
-) -> Iterator[tuple[str, bytes, list[str]]]:
+def accept_document(data: bytes, model: ClassModel) -> Iterator[tuple[str, bytes, list[str]]]:
     """Walk a document line by line and yield (OID token, line, reference
     target tokens) for each record line, if the document is byte for byte
     what CanonicalWriter writes: the exact XML declaration, the root start
@@ -739,7 +720,7 @@ def accept_document(
             lambda: read_canonical(_DECLARATION + root + _FOOTER, model, lambda record: None),
             2, f"line 2 must be {expected.decode()[:-1]}",
         )
-    acceptor = LineAcceptor(layouts)
+    acceptor = model.layouts.acceptor
     lineno = 2
     last = ""
     for line in lines:
@@ -748,7 +729,7 @@ def accept_document(
         if accepted is None:
             if line != _FOOTER:
                 raise _explained(
-                    lambda: decode_record_line(line, model, layouts),
+                    lambda: decode_record_line(line, model),
                     lineno, "a valid record, but not its canonical line",
                 )
             if lines.read(1):
@@ -812,15 +793,11 @@ def write_verbose(records: Iterable[ObjectRecord], model: ClassModel) -> dict[st
     """Emit the legacy multi-file baseline: two DTDs, a schema restatement,
     and a data file that repeats synthetic storage coordinates and the full
     type descriptor for every object. Used only for size comparison."""
-    layouts = LayoutIndex(model)
-    ordered = sorted(records, key=lambda r: r.oid.token)
-    for record in ordered:
-        validate_record(record, model, layouts)
-    seen: set[str] = set()
-    for record in ordered:
-        if record.oid.token in seen:
+    # sorted computes every key before it compares any: a bad OID is a RecordError
+    ordered = sorted(records, key=lambda r: validate_record(r, model) or r.oid.token)
+    for before, record in zip(ordered, ordered[1:]):
+        if before.oid.token == record.oid.token:
             raise RecordError(f"duplicate OID {record.oid.token!r}")
-        seen.add(record.oid.token)
 
     schema_lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -842,7 +819,7 @@ def write_verbose(records: Iterable[ObjectRecord], model: ClassModel) -> dict[st
         f'<ObjectData schema="{escape_attr(model.name)}">',
     ]
     for index, record in enumerate(ordered):
-        layout = layouts.layout(record.class_name)
+        layout = model.layouts.layout(record.class_name)
         cdef = model.classes[record.class_name]
         data_lines.append("  <Object>")
         data_lines.append("    <Database>DB0</Database>")
@@ -899,5 +876,5 @@ def _descriptor_line(fdef: FieldDef) -> str:
 
 
 def parse_record_line(line: str, model: ClassModel, layouts: LayoutIndex | None = None) -> ObjectRecord:
-    """Decode one canonical ``<o .../>`` line (as stored in a FileStore log)."""
-    return decode_record_line(line.encode("utf-8"), model, layouts or LayoutIndex(model))
+    """Decode one canonical ``<o .../>`` line, as a FileStore log holds it; layouts is not read."""
+    return decode_record_line(line.encode("utf-8"), model)

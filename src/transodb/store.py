@@ -35,11 +35,10 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .errors import ModelMismatchError, TransodbError
-from .model import ClassModel, LayoutIndex, dump_model
+from .model import ClassModel
 from .objectxml import (
     CanonicalWriter,
     DocumentError,
-    LineAcceptor,
     ObjectRecord,
     Oid,
     accept_document,
@@ -79,22 +78,20 @@ class StoreAdapter(ABC):
 
     The bound model is fixed at open; put validates a record against it and
     stores its canonical line, so the caller's object is copied. get and
-    scan read a fresh record from a stored line that the store's
-    LineAcceptor, built on first use, accepts, and raise StoreError on any
-    other. scan yields records in byte-wise OID order regardless of
-    insertion order, and after commit reflects every accepted put. A backend
+    scan read a fresh record from a stored line that the model's
+    LineAcceptor accepts, and raise StoreError on any other. scan yields
+    records in byte-wise OID order regardless of insertion order, and after
+    commit reflects every accepted put. A backend
     keeps one entry per stored OID token in ``_entries`` (whatever
     ``_append`` returned) and reads the line back with ``_line``.
     """
 
     def __init__(self, model: ClassModel):
         self.model = model
-        self._layouts = LayoutIndex(model)
         self._entries: dict = {}
-        self._acceptor: LineAcceptor | None = None  # built by the first get or scan
 
     def put(self, record: ObjectRecord) -> None:
-        token, line = record_line(record, self._layouts)
+        token, line = record_line(record, self.model.layouts)
         self._put_line(token, line.encode("utf-8"))
 
     def _put_line(self, token: str, line: bytes) -> None:
@@ -115,8 +112,7 @@ class StoreAdapter(ABC):
         return map(self._record, self.scan_lines())
 
     def _record(self, line: bytes) -> ObjectRecord:
-        self._acceptor = self._acceptor or LineAcceptor(self._layouts)
-        record = self._acceptor.record(line)
+        record = self.model.layouts.acceptor.record(line)
         if record is None:
             raise StoreError(f"stored line of record {line_oid(line)!r} is not canonical")
         return record
@@ -406,7 +402,7 @@ class FileStore(StoreAdapter):
         for the caller to truncate. Any other rejected line, including one
         that decodes but is not its record's canonical form, is corruption
         and raises."""
-        acceptor = LineAcceptor(self._layouts)
+        acceptor = self.model.layouts.acceptor
 
         def accepted(line: bytes, complete: bool, offset: int) -> str | None:
             found = acceptor.accept(line + b"\n")
@@ -414,7 +410,7 @@ class FileStore(StoreAdapter):
                 if _MARK.fullmatch(line):
                     return None
                 try:
-                    decode_record_line(line, self.model, self._layouts)
+                    decode_record_line(line, self.model)
                 except DocumentError:
                     if not complete:
                         return None
@@ -527,8 +523,7 @@ def _names_file(path: Path, fd: int) -> bool:
 
 
 def _require_same_model(*models: ClassModel) -> None:
-    # one model object, as the CLI passes everywhere, needs no dumps
-    if any(m is not models[0] for m in models) and len({dump_model(m) for m in models}) > 1:
+    if len({m.dump for m in models}) > 1:
         raise ModelMismatchError("operation requires identically shaped models")
 
 
@@ -569,7 +564,7 @@ def import_document(data: bytes, model: ClassModel, handle: StoreAdapter) -> int
     restores the pre-import state; a DocumentError names the document line.
     """
     _require_same_model(model, handle.model)
-    return _ingest(handle, accept_document(data, model, handle._layouts))
+    return _ingest(handle, accept_document(data, model))
 
 
 def export_to(handle: StoreAdapter, model: ClassModel, out: BinaryIO) -> int:

@@ -24,6 +24,7 @@ from .model import (
     Ref,
     Scalar,
     ScalarKind,
+    dump_model,
     validate_model,
 )
 
@@ -396,11 +397,7 @@ def emit_schema(model: ClassModel) -> str:
     two-space indentation, one trailing newline. Re-parsing the output
     reproduces a model with an identical dump.
     """
-    from .model import InvalidModelError
-
-    diags = validate_model(model)
-    if diags:
-        raise InvalidModelError(diags)
+    dump_model(model)  # InvalidModelError for an invalid model
 
     if not model.classes:
         return (

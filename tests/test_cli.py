@@ -4,6 +4,7 @@ import zlib
 
 import pytest
 
+import transodb.model
 from transodb import (
     FileStore,
     export_store,
@@ -151,6 +152,29 @@ def test_export_import_export_chain(bench_xsd, tmp_path, capsys):
     out = tmp_path / "back.odbx"
     assert main(["export", "--schema", str(bench_xsd), "--store", str(tmp_path / "s"), "--out", str(out)]) == 0
     assert out.read_bytes() == original
+
+
+def test_each_command_checks_its_model_once(bench_xsd, tmp_path, monkeypatch, capsys):
+    """import, export and migrate each run the model check once, when
+    --schema is parsed: stores, documents and the dump comparisons read what
+    the model keeps, and each command still moves the same bytes."""
+    model, _ = _model_of(bench_xsd)
+    doc = tmp_path / "g.odbx"
+    doc.write_bytes(write_canonical(synthesize_graph(model, 7, 50).records.values(), model))
+    walks, real = [], transodb.model._check_model
+    monkeypatch.setattr(transodb.model, "_check_model", lambda m: walks.append(1) or real(m))
+    store_a, store_b, out = str(tmp_path / "a"), str(tmp_path / "b"), tmp_path / "back.odbx"
+    for argv in (
+        ["import", "--schema", str(bench_xsd), "--in", str(doc), "--store", store_a],
+        ["export", "--schema", str(bench_xsd), "--store", store_a, "--out", str(out)],
+        ["migrate", "--schema", str(bench_xsd), "--from", store_a, "--to", store_b],
+    ):
+        walks.clear()
+        assert main(argv) == 0
+        assert walks == [1], argv[0]
+    assert out.read_bytes() == doc.read_bytes()
+    assert main(["export", "--schema", str(bench_xsd), "--store", store_b, "--out", str(out)]) == 0
+    assert out.read_bytes() == doc.read_bytes()
 
 
 def test_import_truncated_document_rolls_back(person_xsd, tmp_path, capsys):

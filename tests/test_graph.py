@@ -79,12 +79,14 @@ def test_all_errors_reported_in_deterministic_order(family_model):
         person("a", spouse=Oid("missing1")),
         person("a"),  # duplicate
         ObjectRecord("Person", Oid("c"), {"name": "x"}),  # invalid: age missing
+        person(5),  # invalid: an int token, which sorts after the str ones
     ]
     with pytest.raises(GraphBuildError) as exc:
         build_graph(records, family_model)
     errors = exc.value.errors
     keys = [e.sort_key() for e in errors]
     assert keys == sorted(keys)
+    assert (errors[-1].kind, errors[-1].offending_oid) == (BuildErrorKind.RECORD_INVALID, Oid(5))
     kinds = {e.kind for e in errors}
     assert kinds == {
         BuildErrorKind.DANGLING_REF,

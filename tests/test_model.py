@@ -285,6 +285,24 @@ def test_dump_requires_valid_model():
         dump_model(ClassModel("m", {"A": cls("A", "A")}))
 
 
+def test_model_is_read_only_once_built():
+    """A model keeps a read-only copy of the classes it is given, which
+    cannot be rebound, so what it derives from them stays true; its name,
+    which nothing derived reads, stays settable."""
+    given = {"A": cls("A", None, FieldDef("x", Scalar(ScalarKind.INT64)))}
+    m = ClassModel("m", given)
+    dump = dump_model(m)
+    given["B"] = cls("B", "A")
+    del given["A"]
+    assert list(m.classes) == ["A"]
+    with pytest.raises(TypeError):
+        m.classes["B"] = cls("B", "A")
+    with pytest.raises(AttributeError):
+        m.classes = {"B": cls("B")}
+    m.name = "renamed"
+    assert (m.name, list(m.classes), dump_model(m)) == ("renamed", ["A"], dump)
+
+
 def test_list_fields_normalize_to_optional():
     f = FieldDef("xs", ListOf(Scalar(ScalarKind.STR)), optional=False)
     assert f.optional

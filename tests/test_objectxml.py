@@ -229,7 +229,7 @@ def test_line_tokens_match_the_decode():
         for i, record in enumerate(random_graph(model, seed, 30).records.values()):
             line = (format_record(_with_decoys(record, layouts, i), layouts) + "\n").encode()
             decoyed += b'x r="o1"/&gt;' in line
-            decoded = decode_record_line(line, model, layouts)
+            decoded = decode_record_line(line, model)
             assert line_oid(line) == decoded.oid.token
             assert line_refs(line) == [t.token for _, _, t in iter_refs(decoded, layouts)]
     assert decoyed
@@ -252,7 +252,7 @@ def _canonical_decode(line, model, layouts):
     """The oracle: the decode of line, if line is format_record of it plus
     a newline; else None."""
     try:
-        record = decode_record_line(line, model, layouts)
+        record = decode_record_line(line, model)
     except DocumentError:
         return None
     return record if (format_record(record, layouts) + "\n").encode() == line else None

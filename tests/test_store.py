@@ -106,6 +106,21 @@ def test_put_validates_against_bound_model(person_model, tmp_path):
 # -- FileStore specifics --------------------------------------------------------
 
 
+def test_stores_on_one_model_share_its_line_acceptor(family_model, tmp_path, monkeypatch):
+    """Every store opened on one model checks and reads lines through the
+    model's one LineAcceptor, built on first use, not one per open."""
+    built, real = [], transodb.objectxml.LineAcceptor
+    monkeypatch.setattr(
+        transodb.objectxml, "LineAcceptor", lambda layouts: built.append(1) or real(layouts)
+    )
+    doc = write_canonical([person("p1"), person("p2", spouse=Oid("p1"))], family_model)
+    for name in ("a", "b"):
+        with FileStore(tmp_path / name, family_model) as store:
+            import_document(doc, family_model, store)
+            assert store.get(Oid("p2")).values["spouse"] == Oid("p1")
+    assert built == [1]
+
+
 def test_lock_rejects_second_writer(person_model, tmp_path):
     first = FileStore(tmp_path / "s", person_model)
     with pytest.raises(StoreLockedError):
@@ -462,12 +477,12 @@ def test_rolled_back_import_then_commit_reopens_without_rebuild(family_model, tm
 
 
 def _forbid_rebuild(monkeypatch):
-    """Fail the test if LineAcceptor runs, as every rebuild does."""
+    """Fail the test if an open rebuilds the log."""
 
-    def no_acceptor(layouts):
+    def no_rebuild(store, size):
         raise AssertionError("a committed store must reopen without a rebuild")
 
-    monkeypatch.setattr("transodb.store.LineAcceptor", no_acceptor)
+    monkeypatch.setattr(FileStore, "_rebuild_index", no_rebuild)
 
 
 def _mark(log: bytes) -> bytes:
@@ -476,10 +491,10 @@ def _mark(log: bytes) -> bytes:
 
 
 def _count_rebuilds(monkeypatch) -> list:
-    """A list that grows by one each time a rebuild builds its LineAcceptor."""
-    built, real = [], transodb.store.LineAcceptor
+    """A list that grows by one each time an open rebuilds the log."""
+    built, real = [], FileStore._rebuild_index
     monkeypatch.setattr(
-        "transodb.store.LineAcceptor", lambda layouts: built.append(1) or real(layouts)
+        FileStore, "_rebuild_index", lambda store, size: built.append(1) or real(store, size)
     )
     return built
 
