@@ -32,8 +32,12 @@ class BuildError:
     offending_oid: Oid
     detail: str
 
+    @property
+    def token(self) -> object:  # an invalid record's oid may be no Oid: it is its own token
+        return getattr(self.offending_oid, "token", self.offending_oid)
+
     def sort_key(self) -> tuple[bool, str, str, str]:
-        token = self.offending_oid.token  # an invalid record's may not be a str: it sorts last
+        token = self.token  # an invalid record's may not be a str: it sorts last
         return (type(token) is not str, str(token), self.kind.value, self.detail)
 
 
@@ -43,7 +47,7 @@ class GraphBuildError(TransodbError):
 
     def __init__(self, errors: list[BuildError]):
         self.errors = errors
-        summary = "; ".join(f"{e.kind.value}({e.offending_oid.token}): {e.detail}" for e in errors[:5])
+        summary = "; ".join(f"{e.kind.value}({e.token}): {e.detail}" for e in errors[:5])
         if len(errors) > 5:
             summary += f"; ... {len(errors) - 5} more"
         super().__init__(summary)

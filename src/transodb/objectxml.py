@@ -756,8 +756,6 @@ def _explained(decode: Callable[[], object], lineno: int, why: str) -> DocumentE
     return DocumentError(f"not canonical: {why}", lineno, 1)
 
 
-VERBOSE_FILE_NAMES = ("schema.dtd", "schema.xml", "data.dtd", "data.xml")
-
 _SCHEMA_DTD = """\
 <!ELEMENT ObjectSchema (Class*)>
 <!ATTLIST ObjectSchema name CDATA #REQUIRED>

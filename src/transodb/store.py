@@ -13,9 +13,10 @@ close. MemStore is a plain in-process map of lines; FileStore is an
 append-only log of record lines and commit marks, bound to its model by
 a schema.xsd that must be emit_schema's bytes for it; open reads the log
 once, keeps what its last mark commits, and rebuilds from the log when
-that mark does not check out. import_document takes only canonical
-documents and, like migrate, stores their lines as they are through one
-load that rolls back on any failure.
+that mark does not check out; it reads its own bytes only by the strict
+line grammar (line_oid, LineAcceptor), never by a decoder. import_document
+takes only canonical documents and, like migrate, stores their lines as
+they are through one load that rolls back on any failure.
 
 One handle tolerates a single writing thread or any number of reading
 threads; concurrent writers to one FileStore directory are rejected via
@@ -38,11 +39,9 @@ from .errors import ModelMismatchError, TransodbError
 from .model import ClassModel
 from .objectxml import (
     CanonicalWriter,
-    DocumentError,
     ObjectRecord,
     Oid,
     accept_document,
-    decode_record_line,
     line_oid,
     line_refs,
     record_line,
@@ -201,10 +200,11 @@ class FileStore(StoreAdapter):
     only its newline gets it back). Otherwise the log up to that mark, or
     all of a log with none (written before marks), is rebuilt with
     LineAcceptor, which rejects as corruption any record line that is not
-    the canonical line of a valid record, and committed. So every line an
-    entry points at is a validated canonical line; ``_line`` hands one out
-    only after checking that it frames the record its key names, and
-    ``scan_lines`` ends by checking the CRC-32 of the log again, so an
+    the canonical line of a valid record, and committed; a last line cut
+    short before its ``</o>`` is a torn append and is dropped. So every
+    line an entry points at is a validated canonical line; ``_line`` hands
+    one out only after checking that it frames the record its key names,
+    and ``scan_lines`` ends by checking the CRC-32 of the log again, so an
     edit to the log while the store is open fails an export or a migrate
     instead of being copied.
 
@@ -339,8 +339,8 @@ class FileStore(StoreAdapter):
         _log_len and _crc then describe the lines read. Returns the last
         mark, or None, as (its end, the CRC-32 to there, the entries before
         it, whether its CRC-32 and length are the log's before it and no
-        line there was skipped); a cut mark counts only if so, and then
-        gets its newline back."""
+        line there was skipped); a cut mark counts only if so. A cut last
+        line that is kept gets its newline back."""
         self._entries = entries = {}
         offset = crc = 0
         mark, skipped = None, False
@@ -368,9 +368,6 @@ class FileStore(StoreAdapter):
                     checks = not skipped and int(head[2]) == offset and int(head[1], 16) == crc
                     if not (complete or checks):
                         break
-                    if not complete:
-                        self._log.write(b"\n")
-                        self._log.flush()
                     end_crc = zlib.crc32(line + b"\n", crc)
                     mark = (offset + len(line) + 1, end_crc, len(entries), checks)
                 elif not complete:
@@ -380,6 +377,9 @@ class FileStore(StoreAdapter):
                 offset += len(line) + 1
             crc = zlib.crc32(view[folded : offset - base], crc)
             if not complete:  # the cut line was the last; nothing follows it
+                if offset > self._log_len:  # it was kept: write its lost newline
+                    self._log.write(b"\n")
+                    self._log.flush()
                 self._log_len, self._crc = offset, crc
                 return mark
 
@@ -395,36 +395,20 @@ class FileStore(StoreAdapter):
         """Recover the entries and the log CRC from its first size bytes.
 
         Every line but a mark must be accepted by LineAcceptor, that is,
-        be the canonical line of a valid record; no line is decoded unless
-        it is rejected. A final line without a newline is a torn append
-        from a crash: if it is complete once the newline is added, the
-        newline is written, and if it does not even decode, it is left out
-        for the caller to truncate. Any other rejected line, including one
-        that decodes but is not its record's canonical form, is corruption
-        and raises."""
+        be the canonical line of a valid record; no line is decoded. A last
+        line cut short is kept if it is accepted once its newline is added;
+        if it does not end in ``</o>`` (see _framed_oid) it is a torn append
+        from a crash, left out for the caller to truncate. Any other
+        rejected line is corruption and raises."""
         acceptor = self.model.layouts.acceptor
 
         def accepted(line: bytes, complete: bool, offset: int) -> str | None:
             found = acceptor.accept(line + b"\n")
-            if found is None:
-                if _MARK.fullmatch(line):
-                    return None
-                try:
-                    decode_record_line(line, self.model)
-                except DocumentError:
-                    if not complete:
-                        return None
-                    raise StoreError(
-                        f"log at {self.directory} is corrupt at byte {offset}"
-                    ) from None
-                raise StoreError(
-                    f"log at {self.directory} holds a non-canonical record at byte {offset}"
-                )
-            if not complete:
-                # full record text landed but the newline did not; finish it
-                self._log.write(b"\n")
-                self._log.flush()
-            return found[1]
+            if found is not None:
+                return found[1]
+            if not _MARK.fullmatch(line) and (complete or line.endswith(b"</o>")):
+                raise StoreError(f"log at {self.directory} is corrupt at byte {offset}")
+            return None  # a mark, or a torn append
 
         self._read_log(size, accepted)
 
@@ -510,7 +494,9 @@ _MARK = re.compile(rb"#([0-9a-f]{8}) (0|[1-9][0-9]*)")
 
 def _framed_oid(line: bytes, complete: bool, offset: int) -> str | None:
     """The OID token of a log line that starts with a start tag and ends
-    with ``</o>`` and a newline; the CRC of a later mark vouches for the rest."""
+    with ``</o>`` and a newline; the CRC of a later mark vouches for the rest.
+    ``</o>`` can end only a whole canonical line, since text escapes ``<``
+    and ``o`` is a reserved field name, so a cut line without it is torn."""
     return line_oid(line) if complete and line.endswith(b"</o>") else None
 
 

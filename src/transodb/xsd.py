@@ -79,9 +79,6 @@ class _ClassDecl:
     base_line: int = 0
     base_column: int = 0
     fields: list[_FieldDecl] = field(default_factory=list)
-    content_seen: bool = False
-    extension_seen: bool = False
-    ext_sequence_seen: bool = False
 
 
 _ALLOWED_ATTRS = {
@@ -104,6 +101,13 @@ _ALLOWED_CHILDREN = {
     "element": set(),
 }
 
+# elements that take a single child -> the error for a second one
+_SINGLE_CHILD = {
+    "complexType": "complexType allows a single content block",
+    "complexContent": "complexContent allows a single extension",
+    "extension": "extension allows a single sequence",
+}
+
 
 class _SubsetParser:
     """Single-pass event consumer; declarations are resolved afterwards."""
@@ -113,7 +117,9 @@ class _SubsetParser:
         self.classes: dict[str, _ClassDecl] = {}
         self.xsd_prefixes: set[str] = set()
         self.default_is_xsd = False
-        self._stack: list[str] = []  # XSD local names of open subset elements
+        # a frame per open subset element, under one for the document root:
+        # [XSD local name, children entered]
+        self._stack: list[list] = [["", 0]]
         self._skip_depth = 0
         self._current: _ClassDecl | None = None
         self._parser = expat.ParserCreate()
@@ -164,53 +170,41 @@ class _SubsetParser:
         if self._skip_depth:
             self._skip_depth += 1
             return
-        if not self._stack:
+        frame = self._stack[-1]
+        parent = frame[0]
+        if not parent:
             self._register_root_namespaces(attrs)
         local = self._xsd_local(name)
-        parent = self._stack[-1] if self._stack else ""
+        # each branch but the last reports why the subtree is skipped
         if local is None:
             self._error(f"element <{name}> is not in the XSD namespace")
-            self._skip_depth = 1
-            return
-        if local in ("choice", "all"):
+        elif local in ("choice", "all"):
             self._error(f"xs:{local} groups are not supported")
-            self._skip_depth = 1
-            return
-        if local == "attribute":
+        elif local == "attribute":
             self._error("xs:attribute is not supported")
-            self._skip_depth = 1
-            return
-        if local == "complexType" and parent == "element":
+        elif local == "complexType" and parent == "element":
             self._error("anonymous nested complex types are not supported")
-            self._skip_depth = 1
-            return
-        if local not in _ALLOWED_CHILDREN.get(parent, set()):
+        elif local not in _ALLOWED_CHILDREN.get(parent, set()):
             self._error(f"unsupported construct xs:{local} inside {parent or 'document root'}")
-            self._skip_depth = 1
-            return
-        if local == "element" and parent == "schema":
+        elif local == "element" and parent == "schema":
             self._warning(f"top-level element declaration {attrs.get('name', '?')!r} skipped")
-            self._skip_depth = 1
-            return
-
-        bad = [k for k in attrs if k not in _ALLOWED_ATTRS[local] and not _is_xmlns(k, local)]
-        if bad:
+        elif bad := [k for k in attrs if k not in _ALLOWED_ATTRS[local] and not _is_xmlns(k, local)]:
             self._error(f"unsupported attribute {bad[0]!r} on xs:{local}")
-            self._skip_depth = 1
-            return
-
-        handler = getattr(self, f"_enter_{local}", None)
-        if handler is not None and not handler(attrs):
-            self._skip_depth = 1
-            return
-        self._stack.append(local)
+        elif frame[1] and parent in _SINGLE_CHILD:
+            self._error(_SINGLE_CHILD[parent])
+        else:
+            handler = getattr(self, f"_enter_{local}", None)
+            if handler is None or handler(attrs):
+                frame[1] += 1
+                self._stack.append([local, 0])
+                return
+        self._skip_depth = 1
 
     def _end(self, name: str) -> None:
         if self._skip_depth:
             self._skip_depth -= 1
             return
-        local = self._stack.pop()
-        if local == "complexType":
+        if self._stack.pop()[0] == "complexType":
             self._current = None
 
     def _chars(self, data: str) -> None:
@@ -218,9 +212,6 @@ class _SubsetParser:
             self._error("unexpected text content")
 
     # -- per-element entry checks (return False to skip the subtree) -----
-
-    def _enter_schema(self, attrs: dict[str, str]) -> bool:
-        return True
 
     def _enter_complexType(self, attrs: dict[str, str]) -> bool:
         name = attrs.get("name")
@@ -236,28 +227,6 @@ class _SubsetParser:
         self._current = decl
         return True
 
-    def _enter_sequence(self, attrs: dict[str, str]) -> bool:
-        decl = self._current
-        if self._stack[-1] == "complexType":
-            if decl.content_seen:
-                self._error("complexType allows a single content block")
-                return False
-            decl.content_seen = True
-        else:  # inside extension
-            if decl.ext_sequence_seen:
-                self._error("extension allows a single sequence")
-                return False
-            decl.ext_sequence_seen = True
-        return True
-
-    def _enter_complexContent(self, attrs: dict[str, str]) -> bool:
-        decl = self._current
-        if decl.content_seen:
-            self._error("complexType allows a single content block")
-            return False
-        decl.content_seen = True
-        return True
-
     def _enter_extension(self, attrs: dict[str, str]) -> bool:
         decl = self._current
         base = attrs.get("base")
@@ -267,10 +236,6 @@ class _SubsetParser:
         if ":" in base:
             self._error(f"extension base {base!r} must name a declared complexType")
             return False
-        if decl.extension_seen:
-            self._error("complexContent allows a single extension")
-            return False
-        decl.extension_seen = True
         decl.base = base
         decl.base_line, decl.base_column = self._pos()
         return True

@@ -95,6 +95,16 @@ def test_all_errors_reported_in_deterministic_order(family_model):
     }
 
 
+def test_record_whose_oid_is_no_oid_is_reported_invalid():
+    record = ObjectRecord("Person", "p1", {"name": "x", "age": 1})
+    with pytest.raises(GraphBuildError, match=r"^RecordInvalid\(p1\): invalid OID 'p1'$") as exc:
+        build_graph([record], bench_model())
+    [error] = exc.value.errors
+    assert (error.kind, error.offending_oid, error.detail) == (
+        BuildErrorKind.RECORD_INVALID, "p1", "invalid OID 'p1'"
+    )
+
+
 def test_error_result_carries_no_partial_graph(family_model):
     try:
         build_graph([person("o1", spouse=Oid("gone"))], family_model)

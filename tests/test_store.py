@@ -491,11 +491,18 @@ def _mark(log: bytes) -> bytes:
 
 
 def _count_rebuilds(monkeypatch) -> list:
-    """A list that grows by one each time an open rebuilds the log."""
+    """A list that grows by one each time an open rebuilds the log; the
+    rebuild reads the log by LineAcceptor alone, so building the lenient
+    decoder fails the test."""
     built, real = [], FileStore._rebuild_index
     monkeypatch.setattr(
         FileStore, "_rebuild_index", lambda store, size: built.append(1) or real(store, size)
     )
+
+    def no_decoder(*args):
+        raise AssertionError("a rebuild must not decode a log line")
+
+    monkeypatch.setattr(transodb.objectxml, "_Decoder", no_decoder)
     return built
 
 
@@ -557,26 +564,40 @@ def test_index_file_is_not_read(index, family_model, tmp_path, monkeypatch):
     assert path.read_bytes() == _mark(data)
 
 
+def _store_written_before_marks(directory, model, ending) -> tuple[bytes, Path, bytes]:
+    """A store of two people whose log, as an older version wrote it, has
+    no mark, with ending applied to it, beside the one-line commit record
+    that version kept in index.idx: (their document, the log, its lines)."""
+    doc = write_canonical([person("p1"), person("p2", spouse=Oid("p1"))], model)
+    with FileStore(directory, model) as store:
+        import_document(doc, model, store)
+    log = directory / "objects.log"
+    lines = log.read_bytes().splitlines(keepends=True)
+    old = b"".join(line for line in lines if line.startswith(b"<o "))
+    log.write_bytes(ending(old))
+    (directory / "index.idx").write_bytes(_mark(old))
+    return doc, log, old
+
+
 @pytest.mark.parametrize(
     "ending",
-    [lambda old: old, lambda old: old[:-1], lambda old: old + b'<o c="Person" id="p3"><name>torn'],
-    ids=["intact", "last-newline-lost", "torn-append"],
+    [
+        lambda old: old,
+        lambda old: old[:-1],
+        lambda old: old + b'<o c="Person" id="p3"><name>torn',
+        # a record line, then a byte the crash left of what followed it
+        lambda old: old + old.splitlines()[0].replace(b'"p1"', b'"p3"') + b" ",
+    ],
+    ids=["intact", "last-newline-lost", "torn-append", "torn-after-its-end-tag"],
 )
 def test_store_written_before_marks_opens_through_one_rebuild(
     ending, family_model, tmp_path, monkeypatch
 ):
-    """A log with no mark, beside the one-line commit record that an older
-    version kept in index.idx, opens through one rebuild and gains its
-    first mark, so the next open runs none. The rebuild restores a lost
-    last newline and drops a torn last append."""
-    doc = write_canonical([person("p1"), person("p2", spouse=Oid("p1"))], family_model)
-    with FileStore(tmp_path / "s", family_model) as store:
-        import_document(doc, family_model, store)
-    log = tmp_path / "s" / "objects.log"
-    lines = log.read_bytes().splitlines(keepends=True)
-    old = b"".join(line for line in lines if line.startswith(b"<o "))
-    log.write_bytes(ending(old))
-    (tmp_path / "s" / "index.idx").write_bytes(_mark(old))
+    """A log with no mark opens through one rebuild and gains its first
+    mark, so the next open runs none. The rebuild restores a lost last
+    newline and drops a torn last append: a cut line that does not end in
+    </o>."""
+    doc, log, old = _store_written_before_marks(tmp_path / "s", family_model, ending)
 
     built = _count_rebuilds(monkeypatch)
     with FileStore(tmp_path / "s", family_model) as reopened:
@@ -587,6 +608,19 @@ def test_store_written_before_marks_opens_through_one_rebuild(
     _forbid_rebuild(monkeypatch)
     with FileStore(tmp_path / "s", family_model) as reopened:
         assert export_store(reopened, family_model) == doc
+
+
+def test_cut_last_line_ending_in_its_end_tag_is_corruption(family_model, tmp_path):
+    """A cut last line that ends in </o> but is no record line is not a
+    torn append: the open fails and leaves the log as it was."""
+    _, log, old = _store_written_before_marks(
+        tmp_path / "s", family_model, lambda old: old + b"junk</o>"
+    )
+
+    with pytest.raises(StoreError, match=f"corrupt at byte {len(old)}$"):
+        FileStore(tmp_path / "s", family_model)
+    assert log.read_bytes() == old + b"junk</o>"
+    assert not (tmp_path / "s" / "LOCK").exists()  # lock released on failed open
 
 
 @pytest.mark.parametrize("keep_index", [False, True])

@@ -188,6 +188,27 @@ def test_top_level_element_subtree_fully_skipped():
             "</xs:complexContent></xs:complexType>\n",
             "must name a declared complexType",
         ),
+        (
+            '  <xs:complexType name="P"><xs:sequence/><xs:complexContent>'
+            '<xs:extension base="P"><xs:sequence/></xs:extension>'
+            "</xs:complexContent></xs:complexType>\n",
+            "complexType allows a single content block",
+        ),
+        (
+            '  <xs:complexType name="B"/>\n'
+            '  <xs:complexType name="P"><xs:complexContent>'
+            '<xs:extension base="B"><xs:sequence/></xs:extension>'
+            '<xs:extension base="B"><xs:sequence/></xs:extension>'
+            "</xs:complexContent></xs:complexType>\n",
+            "complexContent allows a single extension",
+        ),
+        (
+            '  <xs:complexType name="B"/>\n'
+            '  <xs:complexType name="P"><xs:complexContent>'
+            '<xs:extension base="B"><xs:sequence/><xs:sequence/></xs:extension>'
+            "</xs:complexContent></xs:complexType>\n",
+            "extension allows a single sequence",
+        ),
     ],
 )
 def test_rejected_constructs(body, message_part):
