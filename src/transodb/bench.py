@@ -13,7 +13,7 @@ from .graph import ObjectGraph, build_graph
 from .model import ClassModel
 from .objectxml import ObjectRecord, Oid, Value, write_canonical, write_verbose
 from .store import FileStore, import_document
-from .xsd import emit_schema, parse_schema
+from .xsd import parse_schema
 
 BENCH_MODEL_NAME = "bench"
 
@@ -62,7 +62,7 @@ def measure(graph: ObjectGraph, model: ClassModel, workdir: Path) -> BenchRow:
         store.close()
 
     verbose = write_verbose(graph.records.values(), model)
-    canonical_bytes = len(data) + len(emit_schema(model).encode("utf-8"))
+    canonical_bytes = len(data) + len(model.schema_xsd)
     verbose_bytes = sum(len(body) for body in verbose.values())
     row = BenchRow(len(graph.records), canonical_bytes, verbose_bytes, export_ms, import_ms)
     if row.n_objects >= 1 and row.verbose_bytes <= row.canonical_bytes:
@@ -170,7 +170,7 @@ def materialize_comparison(
     outdir.mkdir(parents=True, exist_ok=True)
     xsd_path = outdir / f"{model.name}.xsd"
     data_path = outdir / f"{model.name}.odbx"
-    xsd_path.write_text(emit_schema(model), encoding="utf-8")
+    xsd_path.write_bytes(model.schema_xsd)
     data_path.write_bytes(write_canonical(graph.records.values(), model))
 
     verbose_dir = outdir / "verbose"

@@ -28,13 +28,6 @@ EXIT_DOMAIN = 1
 EXIT_IO = 2
 
 
-def _load_model(path: str) -> ClassModel | None:
-    model, diagnostics = parse_schema(Path(path).read_bytes(), Path(path).stem)
-    for diag in diagnostics:
-        print(str(diag), file=sys.stderr)
-    return model
-
-
 @contextmanager
 def _store(spec: str, model: ClassModel, create: bool = False) -> Iterator[StoreAdapter]:
     """Open a store for the length of one command and close it after. If
@@ -64,27 +57,20 @@ def _write_atomically(path: str, produce) -> None:
 
 
 def cmd_schema(args) -> int:
-    model = _load_model(args.xsd)
-    if model is None:
-        return EXIT_DOMAIN
-    sys.stdout.write(model.dump)
-    print(model.schema_hash)
+    sys.stdout.write(args.model.dump)
+    print(args.model.schema_hash)
     return EXIT_OK
 
 
 def cmd_export(args) -> int:
-    model = _load_model(args.schema)
-    if model is None:
-        return EXIT_DOMAIN
+    model = args.model
     with _store(args.store, model) as store:
         _write_atomically(args.out, lambda out: export_to(store, model, out))
     return EXIT_OK
 
 
 def cmd_import(args) -> int:
-    model = _load_model(args.schema)
-    if model is None:
-        return EXIT_DOMAIN
+    model = args.model
     data = Path(args.infile).read_bytes()
     with _store(args.store, model, create=True) as store:
         count = import_document(data, model, store)
@@ -93,9 +79,7 @@ def cmd_import(args) -> int:
 
 
 def cmd_migrate(args) -> int:
-    model = _load_model(args.schema)
-    if model is None:
-        return EXIT_DOMAIN
+    model = args.model
     with _store(args.from_spec, model) as src, _store(args.to_spec, model, create=True) as dst:
         count = migrate(src, dst, model)
     print(f"{count} records")
@@ -127,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("schema", help="parse an XSD and print the class dump and hash")
-    p.add_argument("xsd")
+    p.add_argument("schema", metavar="xsd")
     p.set_defaults(func=cmd_schema)
 
     p = sub.add_parser("export", help="write a store's content as a canonical document")
@@ -160,6 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "schema" in args:  # every command but bench loads its model first
+            path = Path(args.schema)
+            args.model, diagnostics = parse_schema(path.read_bytes(), path.stem)
+            for diag in diagnostics:
+                print(str(diag), file=sys.stderr)
+            if args.model is None:
+                return EXIT_DOMAIN
         return args.func(args)
     except TransodbError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -154,6 +154,13 @@ class ClassModel:
         return f"{fnv1a64(self.dump.encode('utf-8')):016x}"
 
     @cached_property
+    def schema_xsd(self) -> bytes:
+        """emit_schema of the model, UTF-8 encoded: a FileStore's schema.xsd.
+        It depends on the classes alone, not on the settable name."""
+        from .xsd import emit_schema  # xsd builds on this module
+        return emit_schema(self).encode("utf-8")
+
+    @cached_property
     def layouts(self) -> LayoutIndex:
         return LayoutIndex(self)  # checks nothing: an invalid model lays out its valid classes
 

@@ -11,12 +11,13 @@ backend supplies only line storage: append a line, read one back,
 commit, checkpoint/rollback (so imports stay atomic on any backend) and
 close. MemStore is a plain in-process map of lines; FileStore is an
 append-only log of record lines and commit marks, bound to its model by
-a schema.xsd that must be emit_schema's bytes for it; open reads the log
-once, keeps what its last mark commits, and rebuilds from the log when
-that mark does not check out; it reads its own bytes only by the strict
-line grammar (line_oid, LineAcceptor), never by a decoder. import_document
-takes only canonical documents and, like migrate, stores their lines as
-they are through one load that rolls back on any failure.
+a schema.xsd that must be emit_schema's bytes for it; open frames the
+log in one pass, keeps what its last mark commits, and checks the kept
+lines with LineAcceptor when that mark does not check out; it reads its
+own bytes only by the strict line grammar (line_oid, LineAcceptor),
+never by a decoder. import_document takes only canonical documents and,
+like migrate, stores their lines as they are through one load that
+rolls back on any failure.
 
 One handle tolerates a single writing thread or any number of reading
 threads; concurrent writers to one FileStore directory are rejected via
@@ -33,7 +34,7 @@ import zlib
 from abc import ABC, abstractmethod
 from itertools import islice
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from .errors import ModelMismatchError, TransodbError
 from .model import ClassModel
@@ -46,7 +47,6 @@ from .objectxml import (
     line_refs,
     record_line,
 )
-from .xsd import emit_schema
 
 _CRC_CHUNK = 64 * 1024  # bytes per read of the log, at open and in its CRC check
 
@@ -194,19 +194,18 @@ class FileStore(StoreAdapter):
     the mark is the commit point. ``index.idx``, the same line for the
     whole log, is written unsynced at close and read by nothing here.
 
-    Open frames every line in one pass and checks the last mark, whose
-    CRC-32 covers every byte before it. If it checks out and every line
-    before it framed, the log is truncated after it (a mark that lacks
-    only its newline gets it back). Otherwise the log up to that mark, or
-    all of a log with none (written before marks), is rebuilt with
-    LineAcceptor, which rejects as corruption any record line that is not
-    the canonical line of a valid record, and committed; a last line cut
-    short before its ``</o>`` is a torn append and is dropped. So every
-    line an entry points at is a validated canonical line; ``_line`` hands
-    one out only after checking that it frames the record its key names,
-    and ``scan_lines`` ends by checking the CRC-32 of the log again, so an
-    edit to the log while the store is open fails an export or a migrate
-    instead of being copied.
+    Open frames every line in one pass (``_read_log``). It keeps the
+    lines before the last mark, whose CRC-32 covers every byte before it,
+    and truncates the log after that mark (a mark that lacks only its
+    newline gets it back); a log with no mark (written before marks)
+    keeps every line but a torn append. Unless that mark checks out, the
+    kept lines are then checked with LineAcceptor, which rejects as
+    corruption any line that is not the canonical line of a valid record,
+    and committed. So every line an entry points at is a validated
+    canonical line; ``_line`` hands one out only after checking that it
+    frames the record its key names, and ``scan_lines`` ends by checking
+    the CRC-32 of the log again, so an edit to the log while the store is
+    open fails an export or a migrate instead of being copied.
 
     Checkpoint is the log length, CRC and last mark; as the log is
     append-only, rollback truncates the log there and drops the entries at
@@ -276,8 +275,7 @@ class FileStore(StoreAdapter):
 
     def _open_files(self, create: bool) -> None:
         schema_path = self.directory / self.SCHEMA_FILE
-        # emit_schema depends only on the model's shape, not on its name
-        schema = emit_schema(self.model).encode("utf-8")
+        schema = self.model.schema_xsd
         if schema_path.exists():
             if schema_path.read_bytes() != schema:
                 raise ModelMismatchError(
@@ -313,16 +311,19 @@ class FileStore(StoreAdapter):
     def _load_index(self, size: int) -> None:
         """Set the entries, the log CRC and the last mark from the log,
         size bytes, as the class docstring says."""
-        mark = self._read_log(size, _framed_oid)
-        if mark and mark[3]:
-            self._log_len, self._crc, kept, _ = mark
-            self._marked = self._log_len
+        mark, unframed = self._read_log(size)
+        if mark:
+            self._log_len, self._crc, kept, checks = mark
             if len(self._entries) > kept:
                 self._entries = dict(islice(self._entries.items(), kept))
-        else:
-            self._rebuild_index(mark[0] if mark else size)
+            self._marked = self._log_len if checks else None
+        if self._marked is None:
+            self._rebuild_index(unframed)
         if self._log_len < size:  # drop what was never committed
             self._log.truncate(self._log_len)
+        elif self._log_len > size:  # a kept last line cut short: write its lost newline
+            self._log.write(b"\n")
+            self._log.flush()
         self.commit()
         if size == 0:  # a new log: make the directory's new names durable
             fd = os.open(self.directory, os.O_RDONLY)
@@ -331,19 +332,23 @@ class FileStore(StoreAdapter):
             finally:
                 os.close(fd)
 
-    def _read_log(self, end: int, check: Callable[[bytes, bool, int], str | None]) -> tuple | None:
-        """Read the log's first end bytes, each line without its newline.
-        check(line, complete, offset) gives a line's OID token, or None for
-        a mark, which is noted, or for a line to skip; complete is false
-        for a last line cut short, and a repeated token raises. _entries,
-        _log_len and _crc then describe the lines read. Returns the last
-        mark, or None, as (its end, the CRC-32 to there, the entries before
-        it, whether its CRC-32 and length are the log's before it and no
-        line there was skipped); a cut mark counts only if so. A cut last
-        line that is kept gets its newline back."""
+    def _read_log(self, end: int) -> tuple[tuple | None, int | None]:
+        """Frame the log's first end bytes, line by line. A record line
+        starts with a start tag (line_oid) and ends with ``</o>``; its
+        entry is noted, and a repeated OID raises. ``</o>`` can end only a
+        whole canonical line, since text escapes ``<`` and ``o`` is a
+        reserved field name, so a last line cut short before it is a torn
+        append and ends the pass; one cut after it is a record line only
+        if no mark came before it, since after a mark it is uncommitted.
+        _entries, _log_len and _crc then describe the lines read, a cut last
+        line with its newline. Returns the last mark, or None, as (its end,
+        the CRC-32 to there, the entries before it, whether its CRC-32 and
+        length are the log's before it and every line there framed; a cut
+        mark counts only if so), and the offset of the first line that is
+        neither a record line nor a mark, or None."""
         self._entries = entries = {}
         offset = crc = 0
-        mark, skipped = None, False
+        mark = unframed = None
         fd, tail = self._reader.fileno(), b""
         while True:
             self._log_len, self._crc = offset, crc
@@ -355,33 +360,29 @@ class FileStore(StoreAdapter):
             elif tail:  # a last line cut short; its newline counts, as it may be written
                 buf, lines, tail = tail + b"\n", [tail], b""
             else:
-                return mark
+                return mark, unframed
             view, base, folded = memoryview(buf), offset, 0  # crc covers buf[:folded]
             for line in lines:
-                token = check(line, complete, offset)
-                if token is not None:
+                if line.endswith(b"</o>") and (complete or not mark) and (token := line_oid(line)):
                     if token in entries:
                         raise StoreError(f"log at {self.directory} holds duplicate OID {token!r}")
                     entries[token] = (offset, len(line))
                 elif head := _MARK.fullmatch(line):
                     crc, folded = zlib.crc32(view[folded : offset - base], crc), offset - base
-                    checks = not skipped and int(head[2]) == offset and int(head[1], 16) == crc
+                    checks = unframed is None and int(head[2]) == offset and int(head[1], 16) == crc
                     if not (complete or checks):
                         break
                     end_crc = zlib.crc32(line + b"\n", crc)
                     mark = (offset + len(line) + 1, end_crc, len(entries), checks)
-                elif not complete:
-                    break
-                else:
-                    skipped = True
+                elif not (complete or line.endswith(b"</o>")):
+                    break  # a torn append
+                elif unframed is None:
+                    unframed = offset
                 offset += len(line) + 1
             crc = zlib.crc32(view[folded : offset - base], crc)
             if not complete:  # the cut line was the last; nothing follows it
-                if offset > self._log_len:  # it was kept: write its lost newline
-                    self._log.write(b"\n")
-                    self._log.flush()
                 self._log_len, self._crc = offset, crc
-                return mark
+                return mark, unframed
 
     def _log_crc(self) -> int:
         """CRC-32 of the whole log, read in fixed chunks."""
@@ -391,26 +392,21 @@ class FileStore(StoreAdapter):
             offset += len(chunk)
         return crc
 
-    def _rebuild_index(self, size: int) -> None:
-        """Recover the entries and the log CRC from its first size bytes.
-
-        Every line but a mark must be accepted by LineAcceptor, that is,
-        be the canonical line of a valid record; no line is decoded. A last
-        line cut short is kept if it is accepted once its newline is added;
-        if it does not end in ``</o>`` (see _framed_oid) it is a torn append
-        from a crash, left out for the caller to truncate. Any other
-        rejected line is corruption and raises."""
-        acceptor = self.model.layouts.acceptor
-
-        def accepted(line: bytes, complete: bool, offset: int) -> str | None:
-            found = acceptor.accept(line + b"\n")
-            if found is not None:
-                return found[1]
-            if not _MARK.fullmatch(line) and (complete or line.endswith(b"</o>")):
-                raise StoreError(f"log at {self.directory} is corrupt at byte {offset}")
-            return None  # a mark, or a torn append
-
-        self._read_log(size, accepted)
+    def _rebuild_index(self, unframed: int | None) -> None:
+        """Check the entries _read_log kept, each line read with one pread,
+        by LineAcceptor, which takes only the canonical line of a valid
+        record; no line is decoded. A rejected entry, or a line before
+        _log_len that did not frame (unframed), is corruption: StoreError
+        names the first such offset."""
+        accept, fd = self.model.layouts.acceptor.accept, self._reader.fileno()
+        rejected = (
+            offset
+            for offset, length in self._entries.values()
+            if accept(os.pread(fd, length, offset) + b"\n") is None
+        )
+        bad = min(next(rejected, self._log_len), self._log_len if unframed is None else unframed)
+        if bad < self._log_len:
+            raise StoreError(f"log at {self.directory} is corrupt at byte {bad}")
 
     # -- line storage ------------------------------------------------------
 
@@ -490,14 +486,6 @@ class FileStore(StoreAdapter):
 
 # a mark line without its newline: the CRC-32 of the log before it, then its length
 _MARK = re.compile(rb"#([0-9a-f]{8}) (0|[1-9][0-9]*)")
-
-
-def _framed_oid(line: bytes, complete: bool, offset: int) -> str | None:
-    """The OID token of a log line that starts with a start tag and ends
-    with ``</o>`` and a newline; the CRC of a later mark vouches for the rest.
-    ``</o>`` can end only a whole canonical line, since text escapes ``<``
-    and ``o`` is a reserved field name, so a cut line without it is torn."""
-    return line_oid(line) if complete and line.endswith(b"</o>") else None
 
 
 def _names_file(path: Path, fd: int) -> bool:

@@ -121,6 +121,22 @@ def test_stores_on_one_model_share_its_line_acceptor(family_model, tmp_path, mon
     assert built == [1]
 
 
+def test_stores_on_one_model_render_its_schema_once(family_model, tmp_path, monkeypatch):
+    """Every open compares schema.xsd with the model's emit_schema bytes,
+    rendered on first use and kept, not once per open."""
+    rendered, real = [], transodb.xsd.emit_schema
+
+    def counting(model):
+        rendered.append(1)
+        return real(model)
+
+    monkeypatch.setattr(transodb.xsd, "emit_schema", counting)
+    monkeypatch.setattr(transodb.store, "emit_schema", counting, raising=False)
+    for _ in range(2):  # create, then reopen
+        FileStore(tmp_path / "s", family_model).close()
+    assert rendered == [1]
+
+
 def test_lock_rejects_second_writer(person_model, tmp_path):
     first = FileStore(tmp_path / "s", person_model)
     with pytest.raises(StoreLockedError):
@@ -217,6 +233,8 @@ def test_newline_strings_survive_log_and_rebuild(family_model, tmp_path):
     [
         b'<o c="Person" id="p3"><name>torn',
         b'<o c="Person" id="p3"><name>caf\xc3',  # cut inside a two-byte character
+        b"junk</o>",  # cut after the last mark, so never committed, though it ends in </o>
+        b'<o c="Person" id="p1"><name>A</name><age>30</age></o>',  # a stored line, cut
     ],
 )
 def test_torn_log_tail_is_dropped_on_rebuild(family_model, tmp_path, torn_tail):
@@ -621,6 +639,51 @@ def test_cut_last_line_ending_in_its_end_tag_is_corruption(family_model, tmp_pat
         FileStore(tmp_path / "s", family_model)
     assert log.read_bytes() == old + b"junk</o>"
     assert not (tmp_path / "s" / "LOCK").exists()  # lock released on failed open
+
+
+@pytest.mark.parametrize("unframed_first", [True, False], ids=["unframed-first", "framed-first"])
+def test_log_without_marks_fails_at_its_first_bad_line(unframed_first, family_model, tmp_path):
+    """In a log with no mark, the open fails at the first line that is no
+    canonical record line, whether it does not frame or frames a line the
+    acceptor rejects, and leaves the log as it was."""
+    unframed = b"garbage not xml\n"
+    stored = format_record(person("p3"), LayoutIndex(family_model)).encode() + b"\n"
+    non_canonical = stored.replace(b"<age>30</age>", b"<age>030</age>")
+    assert non_canonical != stored
+    bad = unframed + non_canonical if unframed_first else non_canonical + unframed
+
+    def between_the_two_people(old):
+        first = old.index(b"\n") + 1
+        return old[:first] + bad + old[first:]
+
+    _, log, old = _store_written_before_marks(
+        tmp_path / "s", family_model, between_the_two_people
+    )
+    p1_line = old.splitlines(keepends=True)[0]
+    with pytest.raises(StoreError, match=f"corrupt at byte {len(p1_line)}$"):
+        FileStore(tmp_path / "s", family_model)
+    assert log.read_bytes() == between_the_two_people(old)
+
+
+@pytest.mark.parametrize("tail", ["junk", "cut-copy"])
+def test_cut_line_after_a_failing_mark_is_dropped(tail, family_model, tmp_path, monkeypatch):
+    """A cut last line after a last mark that fails was never committed,
+    even one that ends in </o>: junk, or a stored record line that lost
+    its newline. Open rebuilds up to that mark and drops it."""
+    log = _two_committed_people(tmp_path / "s", family_model)
+    data = log.read_bytes()
+    prefix = data[: -len(data.splitlines(keepends=True)[-1])]
+    damaged = prefix + b"#%08x %d\n" % (zlib.crc32(prefix) ^ 1, len(prefix))
+    cut = b"junk</o>" if tail == "junk" else prefix.splitlines()[1]
+    log.write_bytes(damaged + cut)
+
+    built = _count_rebuilds(monkeypatch)
+    with FileStore(tmp_path / "s", family_model) as reopened:
+        assert export_store(reopened, family_model) == write_canonical(
+            [person("p1"), person("p2")], family_model
+        )
+    assert built == [1]
+    assert log.read_bytes() == damaged + _mark(damaged)
 
 
 @pytest.mark.parametrize("keep_index", [False, True])
