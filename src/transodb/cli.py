@@ -3,7 +3,9 @@
 Commands: schema (inspect an XSD), export / import (move a store to and
 from the canonical data document), migrate (store to store), bench (size
 and timing table). Exit codes: 0 success, 1 domain or validation error,
-2 I/O failure. Failing commands leave the filesystem as they found it.
+2 I/O failure. Failing commands leave the filesystem as they found it,
+but for one thing: the first open of a store written by an earlier
+version adds an empty LOCK file, which stays.
 """
 
 from __future__ import annotations

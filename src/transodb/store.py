@@ -12,16 +12,17 @@ commit, checkpoint/rollback (so imports stay atomic on any backend) and
 close. MemStore is a plain in-process map of lines; FileStore is an
 append-only log of record lines and commit marks, bound to its model by
 a schema.xsd that must be emit_schema's bytes for it; open frames the
-log in one pass, keeps what its last mark commits, and checks the kept
-lines with LineAcceptor when that mark does not check out; it reads its
-own bytes only by the strict line grammar (line_oid, LineAcceptor),
-never by a decoder. import_document takes only canonical documents and,
-like migrate, stores their lines as they are through one load that
-rolls back on any failure.
+log in one pass over its lines, keeps what its last mark commits, and
+checks the kept lines with LineAcceptor when that mark does not check
+out; it reads its own bytes only by the strict line grammar (line_oid,
+LineAcceptor), never by a decoder. import_document takes only canonical
+documents and, like migrate, stores their lines as they are through one
+load that rolls back on any failure.
 
 One handle tolerates a single writing thread or any number of reading
-threads; concurrent writers to one FileStore directory are rejected via
-the lock held on the LOCK file while the store is open.
+threads; concurrent writers to one FileStore directory are rejected by
+the flock an open store holds on its LOCK file, an empty file that stays
+in the directory.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .objectxml import (
     record_line,
 )
 
-_CRC_CHUNK = 64 * 1024  # bytes per read of the log, at open and in its CRC check
+_READ_BUFFER = 64 * 1024  # bytes per read of the log, at open and in its CRC checks
 
 
 class StoreError(TransodbError):
@@ -188,20 +189,22 @@ class FileStore(StoreAdapter):
     compares byte for byte), ``objects.log`` (append-only: a canonical
     record line per put and a mark line per commit), ``index.idx`` and
     ``LOCK``. A mark is ``#``, the CRC-32 of the log before it as 8
-    lowercase hex digits, a space and that length. A new log starts with
-    ``#00000000 0``, and only its creation fsyncs the directory. Commit
-    appends a mark, if anything was put since the last, and syncs the log:
-    the mark is the commit point. ``index.idx``, the same line for the
-    whole log, is written unsynced at close and read by nothing here.
+    lowercase hex digits, a space and that length. A new store writes its
+    log, which starts with ``#00000000 0``, before ``schema.xsd``, so a
+    store with a ``schema.xsd`` must have its log; only that creation
+    fsyncs the directory. Commit appends a mark, if anything was put since
+    the last, and syncs the log: the mark is the commit point.
+    ``index.idx``, the same line for the whole log, is written unsynced at
+    close and read by nothing here.
 
-    Open frames every line in one pass (``_read_log``). It keeps the
-    lines before the last mark, whose CRC-32 covers every byte before it,
-    and truncates the log after that mark (a mark that lacks only its
-    newline gets it back); a log with no mark (written before marks)
-    keeps every line but a torn append. Unless that mark checks out, the
-    kept lines are then checked with LineAcceptor, which rejects as
-    corruption any line that is not the canonical line of a valid record,
-    and committed. So every line an entry points at is a validated
+    Open reads the log's lines once and frames each (``_read_log``). It
+    keeps the lines before the last mark, whose CRC-32 covers every byte
+    before it, and truncates the log after that mark (a mark that lacks
+    only its newline gets it back); a log with no mark (written before
+    marks) keeps every line but a torn append. Unless that mark checks
+    out, the kept lines are then checked with LineAcceptor, which rejects
+    as corruption any line that is not the canonical line of a valid
+    record, and committed. So every line an entry points at is a validated
     canonical line; ``_line`` hands one out only after checking that it
     frames the record its key names, and ``scan_lines`` ends by checking
     the CRC-32 of the log again, so an edit to the log while the store is
@@ -211,9 +214,10 @@ class FileStore(StoreAdapter):
     append-only, rollback truncates the log there and drops the entries at
     or past that length.
 
-    An open store holds an exclusive flock on ``LOCK``, which rejects
-    concurrent opens of one directory; the kernel drops it when the
-    process dies, so a killed writer leaves the store openable.
+    An open store holds an exclusive flock on ``LOCK``, an empty file that
+    stays in the directory, so a second open of it fails. Closing the
+    store, or the death of its process, drops the flock, so a killed
+    writer leaves the store openable.
     """
 
     SCHEMA_FILE = "schema.xsd"
@@ -248,50 +252,37 @@ class FileStore(StoreAdapter):
     # -- lifecycle --------------------------------------------------------
 
     def _acquire_lock(self) -> None:
-        path = self.directory / self.LOCK_FILE
-        while self._lock_fd is None:
-            fd = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                # a holder releasing meanwhile unlinks the file just locked,
-                # and a lock on an unlinked file excludes nobody: retry
-                if _names_file(path, fd):
-                    os.ftruncate(fd, 0)
-                    os.write(fd, f"{os.getpid()}\n".encode())
-                    self._lock_fd = fd
-            except BlockingIOError:
-                raise StoreLockedError(f"{self.directory} is locked by another writer") from None
-            finally:
-                if self._lock_fd != fd:
-                    os.close(fd)
-
-    def _release_lock(self) -> None:
-        if self._lock_fd is not None:
-            # unlink before unlocking, so an opener that reached this file
-            # finds it replaced once it gets the lock
-            (self.directory / self.LOCK_FILE).unlink(missing_ok=True)
-            os.close(self._lock_fd)
-            self._lock_fd = None
+        fd = os.open(self.directory / self.LOCK_FILE, os.O_CREAT | os.O_RDWR, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
+            raise StoreLockedError(f"{self.directory} is locked by another writer") from None
+        self._lock_fd = fd
 
     def _open_files(self, create: bool) -> None:
         schema_path = self.directory / self.SCHEMA_FILE
+        log_path = self.directory / self.LOG_FILE
         schema = self.model.schema_xsd
-        if schema_path.exists():
+        bound = schema_path.exists()
+        if bound:
             if schema_path.read_bytes() != schema:
                 raise ModelMismatchError(
                     f"store at {self.directory} is bound to a different schema"
                 )
-        elif create:
+            if not log_path.exists():
+                raise FileNotFoundError(f"{log_path} is missing")
+        elif not create:
+            raise FileNotFoundError(f"{schema_path} is missing")
+        # the log comes first, so a creator killed before schema.xsd
+        # leaves a directory the next create=True open finishes
+        self._log = open(log_path, "ab")
+        self._reader = open(log_path, "rb", buffering=_READ_BUFFER)
+        if not bound:
             with open(schema_path, "wb") as fh:
                 fh.write(schema)
                 fh.flush()
                 os.fsync(fh.fileno())
-        else:
-            raise FileNotFoundError(f"{schema_path} is missing")
-
-        log_path = self.directory / self.LOG_FILE
-        self._log = open(log_path, "ab")
-        self._reader = open(log_path, "rb")
         self._load_index(self._log.tell())
 
     def close(self) -> None:
@@ -304,14 +295,16 @@ class FileStore(StoreAdapter):
         if self._reader is not None:
             self._reader.close()
             self._reader = None
-        self._release_lock()
+        if self._lock_fd is not None:
+            os.close(self._lock_fd)  # drops the flock
+            self._lock_fd = None
 
     # -- marks -------------------------------------------------------------
 
     def _load_index(self, size: int) -> None:
         """Set the entries, the log CRC and the last mark from the log,
         size bytes, as the class docstring says."""
-        mark, unframed = self._read_log(size)
+        mark, unframed = self._read_log()
         if mark:
             self._log_len, self._crc, kept, checks = mark
             if len(self._entries) > kept:
@@ -324,6 +317,8 @@ class FileStore(StoreAdapter):
         elif self._log_len > size:  # a kept last line cut short: write its lost newline
             self._log.write(b"\n")
             self._log.flush()
+        if not mark:  # a log written before marks: its CRC-32, newline included
+            self._crc = self._log_crc(0, 0, self._log_len)
         self.commit()
         if size == 0:  # a new log: make the directory's new names durable
             fd = os.open(self.directory, os.O_RDONLY)
@@ -332,64 +327,52 @@ class FileStore(StoreAdapter):
             finally:
                 os.close(fd)
 
-    def _read_log(self, end: int) -> tuple[tuple | None, int | None]:
-        """Frame the log's first end bytes, line by line. A record line
-        starts with a start tag (line_oid) and ends with ``</o>``; its
-        entry is noted, and a repeated OID raises. ``</o>`` can end only a
-        whole canonical line, since text escapes ``<`` and ``o`` is a
-        reserved field name, so a last line cut short before it is a torn
-        append and ends the pass; one cut after it is a record line only
-        if no mark came before it, since after a mark it is uncommitted.
-        _entries, _log_len and _crc then describe the lines read, a cut last
-        line with its newline. Returns the last mark, or None, as (its end,
-        the CRC-32 to there, the entries before it, whether its CRC-32 and
-        length are the log's before it and every line there framed; a cut
-        mark counts only if so), and the offset of the first line that is
-        neither a record line nor a mark, or None."""
+    def _read_log(self) -> tuple[tuple | None, int | None]:
+        """Frame the log line by line. A record line starts with a start
+        tag (line_oid) and ends with ``</o>``; its entry is noted, and a
+        repeated OID raises. ``</o>`` can end only a whole canonical line,
+        since text escapes ``<`` and ``o`` is a reserved field name, so a
+        last line cut short before it is a torn append and ends the pass;
+        one cut after it is a record line only if no mark came before it,
+        since after a mark it is uncommitted. A cut last line is framed
+        with the newline it lacks, which counts in _log_len (set to the end
+        of the lines read), as it may be written back. Returns the last
+        mark, or None, as (its end, the CRC-32 to there, the entries before
+        it, whether its CRC-32 and length are the log's before it and every
+        line there framed; a cut mark counts only if so), and the offset of
+        the first line that is neither a record line nor a mark, or None."""
         self._entries = entries = {}
-        offset = crc = 0
+        offset = crc = crc_end = 0  # crc is the CRC-32 of the first crc_end log bytes
         mark = unframed = None
-        fd, tail = self._reader.fileno(), b""
-        while True:
-            self._log_len, self._crc = offset, crc
-            chunk = os.pread(fd, min(_CRC_CHUNK, end - offset - len(tail)), offset + len(tail))
-            complete = bool(chunk)
-            if chunk:
-                buf = tail + chunk
-                *lines, tail = buf.split(b"\n")
-            elif tail:  # a last line cut short; its newline counts, as it may be written
-                buf, lines, tail = tail + b"\n", [tail], b""
-            else:
-                return mark, unframed
-            view, base, folded = memoryview(buf), offset, 0  # crc covers buf[:folded]
-            for line in lines:
-                if line.endswith(b"</o>") and (complete or not mark) and (token := line_oid(line)):
-                    if token in entries:
-                        raise StoreError(f"log at {self.directory} holds duplicate OID {token!r}")
-                    entries[token] = (offset, len(line))
-                elif head := _MARK.fullmatch(line):
-                    crc, folded = zlib.crc32(view[folded : offset - base], crc), offset - base
-                    checks = unframed is None and int(head[2]) == offset and int(head[1], 16) == crc
-                    if not (complete or checks):
-                        break
-                    end_crc = zlib.crc32(line + b"\n", crc)
-                    mark = (offset + len(line) + 1, end_crc, len(entries), checks)
-                elif not (complete or line.endswith(b"</o>")):
-                    break  # a torn append
-                elif unframed is None:
-                    unframed = offset
-                offset += len(line) + 1
-            crc = zlib.crc32(view[folded : offset - base], crc)
-            if not complete:  # the cut line was the last; nothing follows it
-                self._log_len, self._crc = offset, crc
-                return mark, unframed
+        whole = True
+        for line in self._reader:
+            if line[-1] != 10:  # the cut last line
+                whole, line = False, line + b"\n"
+            if line.endswith(b"</o>\n") and (whole or not mark) and (token := line_oid(line)):
+                if token in entries:
+                    raise StoreError(f"log at {self.directory} holds duplicate OID {token!r}")
+                entries[token] = (offset, len(line) - 1)
+            elif head := _MARK.fullmatch(line):
+                crc, crc_end = self._log_crc(crc, crc_end, offset), offset
+                checks = unframed is None and int(head[2]) == offset and int(head[1], 16) == crc
+                if not (whole or checks):
+                    break
+                mark = (offset + len(line), zlib.crc32(line, crc), len(entries), checks)
+            elif not (whole or line.endswith(b"</o>\n")):
+                break  # a torn append
+            elif unframed is None:
+                unframed = offset
+            offset += len(line)
+        self._log_len = offset
+        return mark, unframed
 
-    def _log_crc(self) -> int:
-        """CRC-32 of the whole log, read in fixed chunks."""
-        crc = offset = 0
-        while chunk := os.pread(self._reader.fileno(), _CRC_CHUNK, offset):
+    def _log_crc(self, crc: int, start: int, end: int) -> int:
+        """crc folded over the log's bytes from start to end, or to its
+        end if that comes first, read in fixed chunks."""
+        fd = self._reader.fileno()
+        while start < end and (chunk := os.pread(fd, min(_READ_BUFFER, end - start), start)):
             crc = zlib.crc32(chunk, crc)
-            offset += len(chunk)
+            start += len(chunk)
         return crc
 
     def _rebuild_index(self, unframed: int | None) -> None:
@@ -453,7 +436,7 @@ class FileStore(StoreAdapter):
         it entered the log, unchanged since."""
         yield from super().scan_lines()
         self._flush_puts()
-        if self._log_crc() != self._crc:
+        if self._log_crc(0, 0, os.fstat(self._reader.fileno()).st_size) != self._crc:
             raise StoreError(f"log at {self.directory} changed while the store was open")
 
     def commit(self) -> None:
@@ -484,16 +467,8 @@ class FileStore(StoreAdapter):
         self._dirty_reads = True
 
 
-# a mark line without its newline: the CRC-32 of the log before it, then its length
-_MARK = re.compile(rb"#([0-9a-f]{8}) (0|[1-9][0-9]*)")
-
-
-def _names_file(path: Path, fd: int) -> bool:
-    """Whether the file open as fd is the one now linked at path."""
-    try:
-        return os.path.samestat(os.fstat(fd), os.stat(path))
-    except FileNotFoundError:
-        return False
+# a mark line: the CRC-32 of the log before it, then its length, then its newline
+_MARK = re.compile(rb"#([0-9a-f]{8}) (0|[1-9][0-9]*)\n")
 
 
 def _require_same_model(*models: ClassModel) -> None:

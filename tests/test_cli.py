@@ -122,6 +122,19 @@ def test_export_missing_store_is_io_error(person_xsd, tmp_path):
     assert not out.exists()
 
 
+def test_export_of_a_store_whose_log_is_gone_is_io_error(person_xsd, tmp_path, capsys):
+    model, _ = _model_of(person_xsd)
+    FileStore(tmp_path / "store", model).close()
+    log = tmp_path / "store" / "objects.log"
+    log.unlink()
+    out = tmp_path / "out.odbx"
+    assert main(["export", "--schema", str(person_xsd), "--store", str(tmp_path / "store"), "--out", str(out)]) == 2
+    assert "objects.log is missing" in capsys.readouterr().err
+    assert not out.exists()
+    assert not log.exists()
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
 # -- import ----------------------------------------------------------------------
 
 

@@ -1,7 +1,9 @@
 """Adapter contract conformance, FileStore durability, and the document
 import/export/migrate operations."""
 
+import fcntl
 import os
+import re
 import subprocess
 import sys
 import zlib
@@ -144,6 +146,7 @@ def test_lock_rejects_second_writer(person_model, tmp_path):
     first.close()
     second = FileStore(tmp_path / "s", person_model)  # released on close
     second.close()
+    assert (tmp_path / "s" / "LOCK").read_bytes() == b""  # it stays, empty
 
 
 def test_open_checks_schema_hash(person_model, family_model, tmp_path):
@@ -295,6 +298,18 @@ def _open_paths() -> list[str]:
     return paths
 
 
+def _assert_lock_released(directory: Path) -> None:
+    """No descriptor of this process names LOCK, and a non-blocking flock
+    on it succeeds."""
+    lock = directory / "LOCK"
+    assert str(lock.resolve()) not in _open_paths()
+    fd = os.open(lock, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    finally:
+        os.close(fd)
+
+
 def test_mid_log_corruption_raises(family_model, tmp_path):
     store = FileStore(tmp_path / "s", family_model)
     store.put(person("p1"))
@@ -310,7 +325,7 @@ def test_mid_log_corruption_raises(family_model, tmp_path):
 
     with pytest.raises(StoreError) as failed:  # its traceback keeps the half-open store alive
         FileStore(tmp_path / "s", family_model)
-    assert not (tmp_path / "s" / "LOCK").exists()  # lock released on failed open
+    _assert_lock_released(tmp_path / "s")  # lock released on failed open
     assert str(log.resolve()) not in _open_paths()  # log handles closed too
 
 
@@ -324,6 +339,47 @@ def _run_child(code: str, *args: str) -> int:
         timeout=120,
     )
     return result.returncode
+
+
+@pytest.mark.parametrize("create", [False, True], ids=["open", "create"])
+def test_store_whose_log_is_gone_fails_to_open(create, family_model, tmp_path):
+    """A store whose schema.xsd is there but whose objects.log is gone
+    fails the open with FileNotFoundError naming the log, whether or not
+    the open may create a store, and writes no new log."""
+    log = _two_committed_people(tmp_path / "s", family_model)
+    log.unlink()
+    with pytest.raises(FileNotFoundError, match="objects.log"):
+        FileStore(tmp_path / "s", family_model, create=create)
+    assert not log.exists()
+    _assert_lock_released(tmp_path / "s")
+
+
+def test_creator_killed_before_its_schema_leaves_a_store_the_next_create_finishes(tmp_path):
+    """A new store writes its log before schema.xsd. A creator killed
+    between the two leaves a directory that an open without create
+    refuses and the next create=True open finishes as a new, empty store."""
+    child = (
+        "import os, sys\n"
+        "import transodb.store\n"
+        "from transodb import FileStore\n"
+        "from transodb.bench import bench_model\n"
+        "def dies_at_the_schema(path, *args, **kwargs):\n"
+        "    if str(path).endswith('schema.xsd'):\n"
+        "        os._exit(3)\n"
+        "    return open(path, *args, **kwargs)\n"
+        "transodb.store.open = dies_at_the_schema\n"
+        "FileStore(sys.argv[1], bench_model())\n"
+    )
+    assert _run_child(child, str(tmp_path / "s")) == 3
+    assert sorted(p.name for p in (tmp_path / "s").iterdir()) == ["LOCK", "objects.log"]
+
+    model = bench_model()
+    with pytest.raises(FileNotFoundError, match="schema.xsd"):
+        FileStore(tmp_path / "s", model, create=False)
+    with FileStore(tmp_path / "s", model) as store:
+        assert store.count() == 0
+    assert (tmp_path / "s" / "schema.xsd").read_bytes() == model.schema_xsd
+    assert (tmp_path / "s" / "objects.log").read_bytes() == b"#00000000 0\n"
 
 
 def test_killed_writer_leaves_store_openable(tmp_path):
@@ -628,6 +684,35 @@ def test_store_written_before_marks_opens_through_one_rebuild(
         assert export_store(reopened, family_model) == doc
 
 
+def test_marks_past_the_first_read_buffer_are_trusted(tmp_path, monkeypatch):
+    """A log of over 64 KiB, with marks past its first 64 KiB, reopens
+    without a rebuild: each mark's CRC-32 covers exactly the log before
+    it. So does the log with its last mark's newline cut, which open
+    writes back."""
+    model = bench_model()
+    records = list(synthesize_graph(model, 5, 900).records.values())
+    with FileStore(tmp_path / "s", model) as store:
+        for start in range(0, len(records), 300):
+            for record in records[start : start + 300]:
+                store.put(record)
+            store.commit()
+        expected = export_store(store, model)
+    log = tmp_path / "s" / "objects.log"
+    data = log.read_bytes()
+    marks = [mark.start() for mark in re.finditer(rb"^#", data, re.MULTILINE)]
+    assert len(marks) == 4 and marks[-2] > 64 * 1024
+
+    _forbid_rebuild(monkeypatch)
+    with FileStore(tmp_path / "s", model) as reopened:
+        assert export_store(reopened, model) == expected
+    assert log.read_bytes() == data
+
+    log.write_bytes(data[:-1])
+    with FileStore(tmp_path / "s", model) as reopened:
+        assert export_store(reopened, model) == expected
+    assert log.read_bytes() == data
+
+
 def test_cut_last_line_ending_in_its_end_tag_is_corruption(family_model, tmp_path):
     """A cut last line that ends in </o> but is no record line is not a
     torn append: the open fails and leaves the log as it was."""
@@ -638,7 +723,7 @@ def test_cut_last_line_ending_in_its_end_tag_is_corruption(family_model, tmp_pat
     with pytest.raises(StoreError, match=f"corrupt at byte {len(old)}$"):
         FileStore(tmp_path / "s", family_model)
     assert log.read_bytes() == old + b"junk</o>"
-    assert not (tmp_path / "s" / "LOCK").exists()  # lock released on failed open
+    _assert_lock_released(tmp_path / "s")  # lock released on failed open
 
 
 @pytest.mark.parametrize("unframed_first", [True, False], ids=["unframed-first", "framed-first"])
